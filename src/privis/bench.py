@@ -12,12 +12,14 @@ Modes:
 
 Per-frame stage accounting (wall time, monotonic clock):
 
-    saliency_grouping   partition/reuse, scoring, change detection
+    saliency_grouping   change detection, partition/reuse, scoring,
+                        changed-cube lookup
     key_management      policy assignment, budget pass, key schedule
     encryption          seal_cube calls only
     decryption          open_cube calls only
     transport_assembly  payload serialization, shaping decisions,
-                        packetization, schedule merge, receiver intake
+                        packetization, schedule merge, receiver intake,
+                        plain-unit admission (noenc), frame composition
     total               one bracket around all of the above
 
 Refresh rule (all keyed modes): a cube is re-sealed and re-sent when its
@@ -55,7 +57,6 @@ from .partition import (
     CubeId,
     CubeSet,
     PartitionConfig,
-    _pack_cells,
     partition_frame,
     reuse_or_repartition,
 )
@@ -261,30 +262,27 @@ def _content_digest(plaintexts: dict[CubeId, CubePlaintext]) -> str:
 
 
 def _changed_mask(frame: PointCloudFrame, prev: PointCloudFrame | None) -> np.ndarray | None:
-    """Per-point moved/recolored mask against the previous frame; None means
-    everything counts as changed (first frame or point-count change)."""
+    """Per-point moved/recolored/relabeled mask against the previous frame;
+    None means everything counts as changed (first frame or point-count
+    change). Columns are compared one at a time and ORed in place, which
+    gives the bits of np.any(a != b, axis=1) several times faster."""
     if prev is None or prev.num_points != frame.num_points:
         return None
-    moved = np.any(frame.positions != prev.positions, axis=1)
-    recolored = np.any(frame.colors != prev.colors, axis=1)
-    relabeled = frame.sensitivity != prev.sensitivity
-    return moved | recolored | relabeled
+    changed = frame.sensitivity != prev.sensitivity
+    for col in range(3):
+        changed |= frame.positions[:, col] != prev.positions[:, col]
+        changed |= frame.colors[:, col] != prev.colors[:, col]
+    return changed
 
 
 def _changed_cube_ids(cubes: CubeSet, changed: np.ndarray | None) -> set[CubeId] | None:
     """Ids of cubes containing any changed point; None means all changed."""
     if changed is None:
         return None
-    if cubes.point_cells is None or not changed.any():
+    points = np.flatnonzero(changed)
+    if cubes.point_cells is None or not len(points):
         return set()
-    cells = cubes.point_cells[changed]
-    keys = _pack_cells(cells)
-    if keys is None:
-        rows = np.unique(cells, axis=0)
-    else:
-        _, first = np.unique(keys, return_index=True)
-        rows = cells[first]
-    return {CubeId(*(int(v) for v in row)) for row in rows}
+    return cubes.cube_ids_of(points)
 
 
 def _policy_assigner(pol_cfg: PolicyConfig):
@@ -363,19 +361,19 @@ class Session:
         t_frame0 = time.perf_counter()
         nominal_time = i * FRAME_INTERVAL_MS
 
-        # stage 1: grouping and scoring (all modes, identical work)
+        # stage 1: grouping and scoring (all modes, identical work); the
+        # change mask tells the grid reuse which points need locating again
         clock.start("saliency_grouping")
+        changed = _changed_mask(frame, prev_frame)
         if prev_cubes is None:
             cubes = partition_frame(frame, cfg.partition.target_cubes)
         else:
-            cubes = reuse_or_repartition(prev_cubes, frame, cfg.partition)
+            cubes = reuse_or_repartition(prev_cubes, frame, cfg.partition, changed)
         scores = score_cubes(cubes, frame, prev_cubes, cfg.saliency)
-        changed = _changed_mask(frame, prev_frame)
         changed_cubes = _changed_cube_ids(cubes, changed)
-        clock.stop()
-
         by_id = cubes.by_id()
         stable = prev_cubes is not None and cubes.boundary_epoch == prev_cubes.boundary_epoch
+        clock.stop()
 
         # stage 2: policy and key schedule
         clock.start("key_management")
@@ -525,20 +523,22 @@ class Session:
                     completed.append((sealed, arrival))
         clock.stop()
 
-        # stage 3c / client: verification
+        # stage 3c / client: verification (plain units need none), then
+        # frame composition
         outcomes = {}
-        if cfg.mode == "noenc":
-            for (cid, unit_plain), arrival in completed:
-                outcomes[cid] = _admit_plain(client, cid, i, unit_plain)
-        else:
+        if cfg.mode != "noenc":
             clock.start("decryption")
             for sealed, arrival in completed:
                 out = client.admit(sealed, now_ms=arrival)
                 outcomes[sealed.cube_id] = out
             clock.stop()
-
+        clock.start("transport_assembly")
+        if cfg.mode == "noenc":
+            for (cid, unit_plain), arrival in completed:
+                outcomes[cid] = _admit_plain(client, cid, i, unit_plain)
         expected = [UNIFORM_CUBE] if cfg.mode == "uniform" else sorted(by_id)
         summary, resolved = frame_compose(i, outcomes, expected, client.state, now_ms=nominal_time)
+        clock.stop()
         result.summaries.append(summary)
 
         total_s = time.perf_counter() - t_frame0 - net_cost_s

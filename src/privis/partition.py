@@ -63,9 +63,18 @@ class CubeSet:
     grid_edge: float
     grid_origin: np.ndarray  # (3,)
     point_cells: np.ndarray | None = None  # (N, 3) cell per point, reuse cache
+    point_keys: np.ndarray | None = None  # (N,) packed point_cells; None if they do not pack
 
     def by_id(self) -> dict[CubeId, Cube]:
         return {c.id: c for c in self.cubes}
+
+    def cube_ids_of(self, points: np.ndarray) -> set[CubeId]:
+        """Ids of the cubes holding the given point indices."""
+        if self.point_keys is not None:
+            rows = _unpack_keys(np.unique(np.take(self.point_keys, points)))
+        else:
+            rows = np.unique(np.take(self.point_cells, points, axis=0), axis=0)
+        return {CubeId(*row) for row in rows.tolist()}
 
 
 @dataclass(frozen=True)
@@ -86,7 +95,9 @@ def _cells_for(positions: np.ndarray, origin: np.ndarray, edge: float) -> np.nda
     The relative slack keeps points lying exactly on the outer bounding-box
     face inside the last cell instead of spilling into a phantom index.
     """
-    return np.floor((positions - origin) / (edge * (1.0 + 1e-9))).astype(np.int64)
+    scaled = np.subtract(positions, origin)
+    scaled /= edge * (1.0 + 1e-9)
+    return np.floor(scaled, out=scaled).astype(np.int64)
 
 
 _PACK_BIAS = 1 << 20  # 21 bits per axis fills an int64 exactly
@@ -100,6 +111,12 @@ def _pack_cells(cells: np.ndarray) -> np.ndarray | None:
     return (biased[:, 0] << 42) | (biased[:, 1] << 21) | biased[:, 2]
 
 
+def _unpack_keys(keys: np.ndarray) -> np.ndarray:
+    """Inverse of _pack_cells: (N, 3) cell rows."""
+    axis_mask = (1 << 21) - 1
+    return np.stack([keys >> 42, (keys >> 21) & axis_mask, keys & axis_mask], axis=1) - _PACK_BIAS
+
+
 def _count_nonempty(positions: np.ndarray, origin: np.ndarray, edge: float) -> int:
     cells = _cells_for(positions, origin, edge)
     keys = _pack_cells(cells)
@@ -109,39 +126,47 @@ def _count_nonempty(positions: np.ndarray, origin: np.ndarray, edge: float) -> i
 
 
 def _build_cubes(
-    frame: PointCloudFrame,
-    origin: np.ndarray,
-    edge: float,
-    cells: np.ndarray | None = None,
-) -> list[Cube]:
-    if cells is None:
-        cells = _cells_for(frame.positions, origin, edge)
-    keys = _pack_cells(cells)
+    positions: np.ndarray, cells: np.ndarray, keys: np.ndarray | None = None
+) -> tuple[list[Cube], np.ndarray | None]:
+    """Group points by cell; returns the cubes in id order and the packed
+    cell keys (None when the cells do not pack)."""
     if keys is None:
-        keys = np.unique(cells, axis=0, return_inverse=True)[1]
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    starts = np.nonzero(np.diff(sorted_keys, prepend=sorted_keys[0] - 1))[0]
-    counts = np.diff(starts, append=len(order))
-    sorted_pos = frame.positions[order]
+        keys = _pack_cells(cells)
+    labels = keys if keys is not None else np.unique(cells, axis=0, return_inverse=True)[1]
+    # Packed keys and np.unique's labels both order cells lexicographically,
+    # so the groups come out sorted by CubeId.
+    n = len(labels)
+    order = np.argsort(labels, kind="stable")
+    sorted_labels = np.take(labels, order)
+    first = np.empty(n, dtype=bool)
+    first[0] = True
+    np.not_equal(sorted_labels[1:], sorted_labels[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    counts = np.diff(starts, append=n)
+    sorted_pos = np.take(positions, order, axis=0)
     sums = np.add.reduceat(sorted_pos, starts, axis=0)
     mins = np.minimum.reduceat(sorted_pos, starts, axis=0)
     maxs = np.maximum.reduceat(sorted_pos, starts, axis=0)
-    cubes = []
-    for g, start in enumerate(starts):
-        grp = order[start : start + counts[g]]
-        cid = CubeId(*(int(v) for v in cells[grp[0]]))
-        cubes.append(
-            Cube(
-                id=cid,
-                point_indices=grp,
-                centroid=sums[g] / counts[g],
-                aabb_min=mins[g],
-                aabb_max=maxs[g],
-            )
-        )
-    cubes.sort(key=lambda c: c.id)
-    return cubes, cells
+    centroids = sums / counts[:, None]
+    ids = np.take(cells, np.take(order, starts), axis=0).tolist()
+    bounds = np.append(starts, n).tolist()
+    cubes = [
+        Cube(CubeId(*cid), order[a:b], centroid, lo, hi)
+        for cid, a, b, centroid, lo, hi in zip(ids, bounds, bounds[1:], centroids, mins, maxs)
+    ]
+    return cubes, keys
+
+
+def _cube_set(
+    frame: PointCloudFrame,
+    boundary_epoch: int,
+    edge: float,
+    origin: np.ndarray,
+    cells: np.ndarray,
+    keys: np.ndarray | None = None,
+) -> CubeSet:
+    cubes, keys = _build_cubes(frame.positions, cells, keys)
+    return CubeSet(frame.frame_id, cubes, boundary_epoch, edge, origin, cells, keys)
 
 
 def partition_frame(
@@ -165,8 +190,7 @@ def partition_frame(
     origin = frame.positions.min(axis=0)
     extent = float((frame.positions.max(axis=0) - origin).max())
     if extent <= 0.0:  # all points coincide
-        cubes, cells = _build_cubes(frame, origin, 1.0)
-        return CubeSet(frame.frame_id, cubes, boundary_epoch, 1.0, origin, cells)
+        return _cube_set(frame, boundary_epoch, 1.0, origin, _cells_for(frame.positions, origin, 1.0))
 
     band_lo = (target_cubes + 1) // 2
     band_hi = 2 * target_cubes
@@ -190,8 +214,9 @@ def partition_frame(
             hi = mid
         else:  # too many cubes: grow cells
             lo = mid
-    cubes, cells = _build_cubes(frame, origin, best_edge)
-    return CubeSet(frame.frame_id, cubes, boundary_epoch, best_edge, origin, cells)
+    return _cube_set(
+        frame, boundary_epoch, best_edge, origin, _cells_for(frame.positions, origin, best_edge)
+    )
 
 
 def _prev_cells_of(prev: CubeSet) -> np.ndarray:
@@ -204,6 +229,14 @@ def _prev_cells_of(prev: CubeSet) -> np.ndarray:
     return cells
 
 
+def _changed_fraction(now: np.ndarray, before: np.ndarray, total: int) -> float:
+    """Share of ``total`` points whose cell row in ``now`` differs from the
+    one in ``before``. ORing per-column compares gives the same bits as
+    ``np.any(now != before, axis=1)`` at a fraction of its cost."""
+    differ = (now[:, 0] != before[:, 0]) | (now[:, 1] != before[:, 1]) | (now[:, 2] != before[:, 2])
+    return np.count_nonzero(differ) / total
+
+
 def membership_change_fraction(prev: CubeSet, frame: PointCloudFrame) -> float:
     """Fraction of points whose grid cell under ``prev``'s boundaries
     differs from their assignment in ``prev``. Index-aligned; a point-count
@@ -214,34 +247,51 @@ def membership_change_fraction(prev: CubeSet, frame: PointCloudFrame) -> float:
     if frame.num_points == 0:
         return 0.0
     now_cells = _cells_for(frame.positions, prev.grid_origin, prev.grid_edge)
-    changed = np.any(now_cells != prev_cells, axis=1)
-    return float(changed.mean())
+    return _changed_fraction(now_cells, prev_cells, frame.num_points)
 
 
 def reuse_or_repartition(
     prev: CubeSet,
     frame: PointCloudFrame,
     cfg: PartitionConfig = PartitionConfig(),
+    moved: np.ndarray | None = None,
 ) -> CubeSet:
     """Keep the previous grid when the scene is stable, else re-partition.
 
     Reuse keeps boundaries (origin, edge) and the boundary epoch but
     reassigns point indices; a re-partition re-tunes the grid and
     increments the epoch.
+
+    ``moved`` is an optional per-point mask that is True at least wherever
+    the position differs from the frame ``prev`` was built from. Unmarked
+    points keep their cell under a reused grid, so only the marked ones are
+    located again; the result is the same CubeSet as without the mask.
     """
     cfg.validate()
-    if frame.num_points == 0:
+    n = frame.num_points
+    if n == 0:
         return CubeSet(frame.frame_id, [], prev.boundary_epoch, prev.grid_edge, prev.grid_origin)
+    origin, edge = prev.grid_origin, prev.grid_edge
     prev_cells = _prev_cells_of(prev)
-    now_cells = None
-    if frame.num_points != len(prev_cells):
+    cells = keys = None
+    if n != len(prev_cells):
         fraction = 1.0
+    elif moved is None:
+        cells = _cells_for(frame.positions, origin, edge)
+        fraction = _changed_fraction(cells, prev_cells, n)
     else:
-        now_cells = _cells_for(frame.positions, prev.grid_origin, prev.grid_edge)
-        fraction = float(np.any(now_cells != prev_cells, axis=1).mean())
-    if fraction <= cfg.change_threshold:
-        cubes, cells = _build_cubes(frame, prev.grid_origin, prev.grid_edge, cells=now_cells)
-        return CubeSet(
-            frame.frame_id, cubes, prev.boundary_epoch, prev.grid_edge, prev.grid_origin, cells
-        )
-    return partition_frame(frame, cfg.target_cubes, boundary_epoch=prev.boundary_epoch + 1)
+        idx = np.flatnonzero(moved)
+        located = _cells_for(np.take(frame.positions, idx, axis=0), origin, edge)
+        fraction = _changed_fraction(located, np.take(prev_cells, idx, axis=0), n)
+        if fraction <= cfg.change_threshold:
+            cells = prev_cells.copy()
+            cells[idx] = located
+            located_keys = _pack_cells(located)
+            if prev.point_keys is not None and located_keys is not None:
+                keys = prev.point_keys.copy()
+                keys[idx] = located_keys
+    if fraction > cfg.change_threshold:
+        return partition_frame(frame, cfg.target_cubes, boundary_epoch=prev.boundary_epoch + 1)
+    if cells is None:
+        cells = _cells_for(frame.positions, origin, edge)
+    return _cube_set(frame, prev.boundary_epoch, edge, origin, cells, keys)

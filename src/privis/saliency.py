@@ -116,22 +116,23 @@ def joint_saliency(phi_p: float, phi_s: float, alpha: float) -> float:
     return alpha * phi_p + (1.0 - alpha) * phi_s
 
 
-def _match_prev_centroid(
-    centroid: np.ndarray, prev_centroids: np.ndarray | None, radius: float
-) -> np.ndarray | None:
-    """Previous-frame centroid for motion estimation.
+def _row_norms(d: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each row of an (N, 3) array, to the bit.
 
-    Matching is by nearest previous centroid within ``radius`` rather than
-    by cube id: content that moved across a cell boundary would otherwise
-    lose its motion history exactly when it matters.
+    norm(row) is sqrt(row.dot(row)), and that dot goes through BLAS ddot,
+    whose optimized kernels fuse multiply-adds. sqrt((d * d).sum(1)) or
+    einsum therefore differ in the last bit on a sizeable share of rows,
+    which would change scores and everything keyed on them. A stacked
+    (1, 3) @ (3, 1) matmul takes the same dot path. np.vecdot would too,
+    but needs numpy >= 2.0.
     """
-    if prev_centroids is None or len(prev_centroids) == 0:
-        return None
-    d2 = np.sum((prev_centroids - centroid) ** 2, axis=1)
-    best = int(np.argmin(d2))
-    if d2[best] >= radius * radius:
-        return None
-    return prev_centroids[best]
+    return np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0])
+
+
+def _clamp01(x: np.ndarray) -> np.ndarray:
+    """min(1.0, max(0.0, x)) elementwise, with Python's semantics (NaN -> 0)."""
+    x = np.where(x > 0.0, x, 0.0)
+    return np.where(x < 1.0, x, 1.0)
 
 
 def score_cubes(
@@ -140,20 +141,47 @@ def score_cubes(
     prev_cubes: CubeSet | None,
     cfg: SaliencyConfig = SaliencyConfig(),
 ) -> list[SaliencyScore]:
-    """Score every cube; result sorted by s descending, CubeId breaking ties."""
+    """Score every cube; result sorted by s descending, CubeId breaking ties.
+
+    One array pass over all cubes, equal to the bit to perceptual_saliency
+    and privacy_saliency applied per cube. Motion is measured against the
+    nearest previous centroid within two grid edges, not against the cube
+    with the same id: content that moved across a cell boundary would
+    otherwise lose its motion history exactly when it matters.
+    """
     cfg.validate()
     if not cubes.cubes:
         return []
-    max_points = max(c.num_points for c in cubes.cubes)
-    match_radius = 2.0 * cubes.grid_edge
-    prev_centroids = None
+    counts = np.array([c.num_points for c in cubes.cubes])
+    if not counts.all():
+        raise ValidationError("saliency of an empty cube")
+    centroids = np.array([c.centroid for c in cubes.cubes])
+    members = np.concatenate([c.point_indices for c in cubes.cubes])
+    starts = np.cumsum(counts) - counts
+
+    motion = np.zeros(len(counts))
     if prev_cubes is not None and prev_cubes.cubes:
         prev_centroids = np.array([c.centroid for c in prev_cubes.cubes])
-    scores = []
-    for cube in cubes.cubes:
-        prev_c = _match_prev_centroid(cube.centroid, prev_centroids, match_radius)
-        phi_p = perceptual_saliency(cube, frame, prev_c, cfg, max_points)
-        phi_s = privacy_saliency(cube, frame, cfg)
-        scores.append(SaliencyScore(cube.id, phi_p, phi_s, joint_saliency(phi_p, phi_s, cfg.alpha)))
+        d2 = np.sum((prev_centroids[None, :, :] - centroids[:, None, :]) ** 2, axis=2)
+        best = np.argmin(d2, axis=1)
+        radius = 2.0 * cubes.grid_edge
+        matched = np.take_along_axis(d2, best[:, None], axis=1)[:, 0] < radius * radius
+        disp = _row_norms(centroids[matched] - prev_centroids[best[matched]])
+        motion[matched] = np.minimum(disp / cfg.motion_scale, 1.0)
+    density = counts / counts.max()
+    view = 1.0 / (1.0 + _row_norms(centroids - frame.viewpoint) / cfg.proximity_scale)
+    phi_p = _clamp01(cfg.w_density * density + cfg.w_motion * motion + cfg.w_view * view)
+
+    # integer label sums keep the exposure equal to the per-cube float mean
+    labels = np.add.reduceat(np.take(frame.sensitivity, members), starts, dtype=np.int64)
+    exposure = labels / counts
+    user = 1.0 / (1.0 + _row_norms(centroids - frame.user_anchor) / cfg.proximity_scale)
+    phi_s = _clamp01(cfg.w_identity * exposure + cfg.w_user * user)
+
+    s = cfg.alpha * phi_p + (1.0 - cfg.alpha) * phi_s
+    scores = [
+        SaliencyScore(cube.id, p, q, joint)
+        for cube, p, q, joint in zip(cubes.cubes, phi_p.tolist(), phi_s.tolist(), s.tolist())
+    ]
     scores.sort(key=lambda r: (-r.s, r.cube_id))
     return scores
