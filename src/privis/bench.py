@@ -280,7 +280,7 @@ def _changed_cube_ids(cubes: CubeSet, changed: np.ndarray | None) -> set[CubeId]
     if changed is None:
         return None
     points = np.flatnonzero(changed)
-    if cubes.point_cells is None or not len(points):
+    if not len(points):
         return set()
     return cubes.cube_ids_of(points)
 
@@ -511,12 +511,10 @@ class Session:
                 deadline = arrival + cfg.frame_timeout_ms
             if arrival > deadline:
                 continue
-            if cfg.mode == "noenc":
-                if not _client_accept_plain(client, dgram):
-                    continue
-                unit = _try_complete_plain(client, dgram)
+            if cfg.mode == "noenc":  # plain units skip verification
+                unit = client.intake(dgram)
                 if unit is not None:
-                    completed.append((unit, arrival))
+                    completed.append(((dgram.flow_id, _parse_plain_unit(unit)), arrival))
             else:
                 sealed = client.on_datagram(dgram, arrival)
                 if sealed is not None:
@@ -625,28 +623,8 @@ def _run_adaptation(cfg, result, window_samples, theta, frame_idx, plan_by_id, f
     return new_theta
 
 
-# NoEnc receiver path: plain units reuse the client's replay guard and
-# reassembly buffers but skip verification entirely.
-
-
-def _client_accept_plain(client: Client, dgram: Datagram) -> bool:
-    from .client import replay_filter
-
-    return replay_filter(client.guard, dgram.flow_id, dgram.frame_id, dgram.frag_index)
-
-
-def _try_complete_plain(client: Client, dgram: Datagram):
-    from .netw import reassemble
-
-    buf = client._buffers.setdefault((dgram.flow_id, dgram.frame_id), [])
-    buf.append(dgram)
-    if len(buf) < dgram.frag_count:
-        return None
-    unit = reassemble(buf)
-    if unit is None:
-        return None
-    del client._buffers[(dgram.flow_id, dgram.frame_id)]
-    return (dgram.flow_id, _parse_plain_unit(unit))
+# NoEnc admission: plain units reuse the client's render state but skip
+# verification entirely.
 
 
 def _admit_plain(client: Client, cid: CubeId, frame_id: int, plain: CubePlaintext):

@@ -220,22 +220,50 @@ class Client:
     state: RenderState = field(default_factory=RenderState)
     guard: ReplayGuard = field(default_factory=ReplayGuard)
     _buffers: dict[tuple[CubeId, int], list[Datagram]] = field(default_factory=dict)
+    _newest: dict[CubeId, int] = field(default_factory=dict)  # newest frame buffered per flow
     _key_cache: dict[tuple[CubeId, int], bytes] = field(default_factory=dict)
 
     def on_datagram(self, dgram: Datagram, arrival_ms: float) -> SealedCube | None:
         """Feed one datagram; returns the sealed unit when it completes."""
-        if not replay_filter(self.guard, dgram.flow_id, dgram.frame_id, dgram.frag_index):
+        unit = self.intake(dgram)
+        if unit is None:
             return None
-        buf = self._buffers.setdefault((dgram.flow_id, dgram.frame_id), [])
+        # from_bytes validates the declared pad length and discards the pad
+        return SealedCube.from_bytes(unit)
+
+    def intake(self, dgram: Datagram) -> bytes | None:
+        """Replay-filter and buffer one datagram; returns the unit's bytes
+        once its last fragment is in.
+
+        When a flow opens a buffer for a newer frame than any before, its
+        buffers for frames that fell below the replay window are dropped:
+        replay_filter rejects every later fragment of such a frame, so they
+        could never complete. Each flow therefore holds at most
+        REPLAY_WINDOW_FRAMES + 1 buffers.
+        """
+        flow, frame = dgram.flow_id, dgram.frame_id
+        if not replay_filter(self.guard, flow, frame, dgram.frag_index):
+            return None
+        key = (flow, frame)
+        buf = self._buffers.get(key)
+        if buf is None:
+            buf = self._buffers[key] = []
+            newest = self._newest.get(flow)
+            if newest is None or frame > newest:
+                self._newest[flow] = frame
+                if newest is not None:
+                    # the flow's buffers lie in [newest - window, newest]
+                    stale = range(newest - REPLAY_WINDOW_FRAMES, min(frame - REPLAY_WINDOW_FRAMES, newest + 1))
+                    for old in stale:
+                        self._buffers.pop((flow, old), None)
         buf.append(dgram)
         if len(buf) < dgram.frag_count:
             return None
         unit = reassemble(buf)
         if unit is None:
             return None
-        del self._buffers[(dgram.flow_id, dgram.frame_id)]
-        # from_bytes validates the declared pad length and discards the pad
-        return SealedCube.from_bytes(unit)
+        del self._buffers[key]
+        return unit
 
     def admit(self, sealed: SealedCube, now_ms: float = 0.0) -> AdmitOutcome:
         return admit_cube(sealed, self.root, self.state, now_ms, key_cache=self._key_cache)

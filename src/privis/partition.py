@@ -10,6 +10,7 @@ point the frame is re-partitioned and the boundary epoch increments.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -55,15 +56,33 @@ class Cube:
 
 @dataclass
 class CubeSet:
-    """All cubes of one frame plus the grid geometry they came from."""
+    """All cubes of one frame plus the grid geometry they came from.
+
+    The cubes are in CubeId order. Under a reused grid, consecutive
+    CubeSets share every Cube whose cell no changed point left or entered:
+    the same object, not a copy, so nothing may mutate a Cube or its
+    arrays once built.
+
+    The per-point cell record is ``point_keys`` (one packed int64 key per
+    point) whenever the cells pack into 21 bits per axis; ``point_cells``
+    then derives the (N, 3) rows from it on demand. Only grids whose cells
+    do not pack store the rows themselves.
+    """
 
     frame_id: int
     cubes: list[Cube]
     boundary_epoch: int
     grid_edge: float
     grid_origin: np.ndarray  # (3,)
-    point_cells: np.ndarray | None = None  # (N, 3) cell per point, reuse cache
-    point_keys: np.ndarray | None = None  # (N,) packed point_cells; None if they do not pack
+    point_keys: np.ndarray | None = None  # (N,) packed cell per point, reuse cache
+    unpacked_cells: np.ndarray | None = None  # (N, 3), only when the cells do not pack
+
+    @property
+    def point_cells(self) -> np.ndarray | None:
+        """(N, 3) cell per point, or None when no per-point record is kept."""
+        if self.point_keys is not None:
+            return _unpack_keys(self.point_keys)
+        return self.unpacked_cells
 
     def by_id(self) -> dict[CubeId, Cube]:
         return {c.id: c for c in self.cubes}
@@ -71,9 +90,9 @@ class CubeSet:
     def cube_ids_of(self, points: np.ndarray) -> set[CubeId]:
         """Ids of the cubes holding the given point indices."""
         if self.point_keys is not None:
-            rows = _unpack_keys(np.unique(np.take(self.point_keys, points)))
+            rows = _unpack_keys(_distinct(np.take(self.point_keys, points)))
         else:
-            rows = np.unique(np.take(self.point_cells, points, axis=0), axis=0)
+            rows = np.unique(np.take(self.unpacked_cells, points, axis=0), axis=0)
         return {CubeId(*row) for row in rows.tolist()}
 
 
@@ -117,56 +136,77 @@ def _unpack_keys(keys: np.ndarray) -> np.ndarray:
     return np.stack([keys >> 42, (keys >> 21) & axis_mask, keys & axis_mask], axis=1) - _PACK_BIAS
 
 
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of a 1-D array: one sort and a neighbour
+    compare. np.unique gives the same values, but numpy 2.3+ routes it
+    through a hash table that is several times slower on int64 keys."""
+    ordered = np.sort(keys)
+    first = np.empty(len(ordered), dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    return ordered[first]
+
+
 def _count_nonempty(positions: np.ndarray, origin: np.ndarray, edge: float) -> int:
     cells = _cells_for(positions, origin, edge)
     keys = _pack_cells(cells)
     if keys is None:  # degenerate tiny edges on small frames
         return len(np.unique(cells, axis=0))
-    return len(np.unique(keys))
+    return len(_distinct(keys))
 
 
 def _build_cubes(
-    positions: np.ndarray, cells: np.ndarray, keys: np.ndarray | None = None
-) -> tuple[list[Cube], np.ndarray | None]:
-    """Group points by cell; returns the cubes in id order and the packed
-    cell keys (None when the cells do not pack)."""
-    if keys is None:
-        keys = _pack_cells(cells)
-    labels = keys if keys is not None else np.unique(cells, axis=0, return_inverse=True)[1]
-    # Packed keys and np.unique's labels both order cells lexicographically,
-    # so the groups come out sorted by CubeId.
+    positions: np.ndarray,
+    labels: np.ndarray,
+    points: np.ndarray | None = None,
+    cells: np.ndarray | None = None,
+) -> list[Cube]:
+    """Group points by cell label; returns the cubes in id order.
+
+    ``labels`` holds one label per point of the frame: the packed cell key,
+    or, when the cells do not pack, np.unique's inverse over the ``cells``
+    rows. Both order cells lexicographically, so the groups come out sorted
+    by CubeId. ``points``, ascending, restricts the grouping to those point
+    indices; each cube then gets the same bits as from grouping all points,
+    since its members arrive in the same ascending order.
+    """
+    if points is not None:
+        labels = np.take(labels, points)
     n = len(labels)
     order = np.argsort(labels, kind="stable")
+    members = order if points is None else np.take(points, order)
     sorted_labels = np.take(labels, order)
     first = np.empty(n, dtype=bool)
     first[0] = True
     np.not_equal(sorted_labels[1:], sorted_labels[:-1], out=first[1:])
     starts = np.flatnonzero(first)
     counts = np.diff(starts, append=n)
-    sorted_pos = np.take(positions, order, axis=0)
+    sorted_pos = np.take(positions, members, axis=0)
     sums = np.add.reduceat(sorted_pos, starts, axis=0)
     mins = np.minimum.reduceat(sorted_pos, starts, axis=0)
     maxs = np.maximum.reduceat(sorted_pos, starts, axis=0)
     centroids = sums / counts[:, None]
-    ids = np.take(cells, np.take(order, starts), axis=0).tolist()
+    if cells is None:
+        ids = _unpack_keys(np.take(sorted_labels, starts)).tolist()
+    else:
+        ids = np.take(cells, np.take(members, starts), axis=0).tolist()
     bounds = np.append(starts, n).tolist()
-    cubes = [
-        Cube(CubeId(*cid), order[a:b], centroid, lo, hi)
+    return [
+        Cube(CubeId(*cid), members[a:b], centroid, lo, hi)
         for cid, a, b, centroid, lo, hi in zip(ids, bounds, bounds[1:], centroids, mins, maxs)
     ]
-    return cubes, keys
 
 
 def _cube_set(
-    frame: PointCloudFrame,
-    boundary_epoch: int,
-    edge: float,
-    origin: np.ndarray,
-    cells: np.ndarray,
-    keys: np.ndarray | None = None,
+    frame: PointCloudFrame, boundary_epoch: int, edge: float, origin: np.ndarray, cells: np.ndarray
 ) -> CubeSet:
-    cubes, keys = _build_cubes(frame.positions, cells, keys)
-    return CubeSet(frame.frame_id, cubes, boundary_epoch, edge, origin, cells, keys)
+    keys = _pack_cells(cells)
+    if keys is None:
+        labels = np.unique(cells, axis=0, return_inverse=True)[1].reshape(-1)
+        cubes = _build_cubes(frame.positions, labels, cells=cells)
+        return CubeSet(frame.frame_id, cubes, boundary_epoch, edge, origin, unpacked_cells=cells)
+    cubes = _build_cubes(frame.positions, keys)
+    return CubeSet(frame.frame_id, cubes, boundary_epoch, edge, origin, point_keys=keys)
 
 
 def partition_frame(
@@ -220,8 +260,9 @@ def partition_frame(
 
 
 def _prev_cells_of(prev: CubeSet) -> np.ndarray:
-    if prev.point_cells is not None:
-        return prev.point_cells
+    cells = prev.point_cells
+    if cells is not None:
+        return cells
     n = sum(c.num_points for c in prev.cubes)
     cells = np.empty((n, 3), dtype=np.int64)
     for cube in prev.cubes:
@@ -250,6 +291,24 @@ def membership_change_fraction(prev: CubeSet, frame: PointCloudFrame) -> float:
     return _changed_fraction(now_cells, prev_cells, frame.num_points)
 
 
+def _regroup(
+    prev_cubes: list[Cube], positions: np.ndarray, keys: np.ndarray, touched: np.ndarray
+) -> list[Cube]:
+    """The cubes for ``keys`` when only the cells keyed in ``touched`` can
+    differ from ``prev_cubes``: other cubes are kept as they are, touched
+    ones are grouped again from their previous members. Every point now in
+    a touched cell was in one before (a point that entered one moved, and
+    the cell it left is touched too), so those members are all there is."""
+    touched_ids = {CubeId(*row) for row in _unpack_keys(_distinct(touched)).tolist()}
+    kept, stale = [], []
+    for cube in prev_cubes:
+        (stale if cube.id in touched_ids else kept).append(cube)
+    if not stale:
+        return kept
+    members = np.sort(np.concatenate([c.point_indices for c in stale]))
+    return sorted(kept + _build_cubes(positions, keys, members), key=attrgetter("id"))
+
+
 def reuse_or_repartition(
     prev: CubeSet,
     frame: PointCloudFrame,
@@ -265,33 +324,37 @@ def reuse_or_repartition(
     ``moved`` is an optional per-point mask that is True at least wherever
     the position differs from the frame ``prev`` was built from. Unmarked
     points keep their cell under a reused grid, so only the marked ones are
-    located again; the result is the same CubeSet as without the mask.
+    located again, and only the cubes whose cells a marked point left or
+    entered are grouped again; the others are ``prev``'s Cube objects. The
+    result is the same CubeSet as without the mask, to the bit.
     """
     cfg.validate()
     n = frame.num_points
     if n == 0:
         return CubeSet(frame.frame_id, [], prev.boundary_epoch, prev.grid_edge, prev.grid_origin)
     origin, edge = prev.grid_origin, prev.grid_edge
+    if moved is not None and prev.point_keys is not None and len(prev.point_keys) == n:
+        idx = np.flatnonzero(moved)
+        located = _pack_cells(_cells_for(np.take(frame.positions, idx, axis=0), origin, edge))
+        if located is not None:
+            before = np.take(prev.point_keys, idx)
+            if np.count_nonzero(located != before) / n > cfg.change_threshold:
+                return partition_frame(frame, cfg.target_cubes, boundary_epoch=prev.boundary_epoch + 1)
+            keys = prev.point_keys.copy()
+            keys[idx] = located
+            cubes = _regroup(prev.cubes, frame.positions, keys, np.concatenate([before, located]))
+            return CubeSet(frame.frame_id, cubes, prev.boundary_epoch, edge, origin, point_keys=keys)
+    # every point located again: no mask, a point-count change, or cells
+    # that do not pack
     prev_cells = _prev_cells_of(prev)
-    cells = keys = None
+    cells = None
     if n != len(prev_cells):
         fraction = 1.0
-    elif moved is None:
+    else:
         cells = _cells_for(frame.positions, origin, edge)
         fraction = _changed_fraction(cells, prev_cells, n)
-    else:
-        idx = np.flatnonzero(moved)
-        located = _cells_for(np.take(frame.positions, idx, axis=0), origin, edge)
-        fraction = _changed_fraction(located, np.take(prev_cells, idx, axis=0), n)
-        if fraction <= cfg.change_threshold:
-            cells = prev_cells.copy()
-            cells[idx] = located
-            located_keys = _pack_cells(located)
-            if prev.point_keys is not None and located_keys is not None:
-                keys = prev.point_keys.copy()
-                keys[idx] = located_keys
     if fraction > cfg.change_threshold:
         return partition_frame(frame, cfg.target_cubes, boundary_epoch=prev.boundary_epoch + 1)
     if cells is None:
         cells = _cells_for(frame.positions, origin, edge)
-    return _cube_set(frame, prev.boundary_epoch, edge, origin, cells, keys)
+    return _cube_set(frame, prev.boundary_epoch, edge, origin, cells)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from privis.client import (
+    REPLAY_WINDOW_FRAMES,
     Admitted,
     Client,
     Dropped,
@@ -276,3 +277,39 @@ def test_holdover_staleness_bounded_by_rotation_interval():
             staleness = frame - out.source_frame_id
             assert out.source_frame_id == last_refresh
             assert staleness <= interval - 1
+
+
+def test_client_buffers_bounded_over_long_lossy_session():
+    """One fragment of one flow is lost every frame for 10k frames: the
+    half-filled buffers are dropped once they fall below the replay window,
+    and every complete unit still comes out."""
+    client = Client(ROOT)
+    flows = [CubeId(0, 0, k) for k in range(3)]
+    units = {f: sealed_unit(f, frame=0, n_points=100)[0].to_bytes() for f in flows}
+    bound = len(flows) * (REPLAY_WINDOW_FRAMES + 1)
+    completed = 0
+    for frame in range(10_000):
+        lost = flows[frame % len(flows)]
+        for flow in flows:
+            frags = packetize(units[flow], flow, frame, mtu=200)
+            if flow == lost:
+                frags = frags[:-1]
+            completed += sum(client.on_datagram(d, 0.0) is not None for d in frags)
+        assert len(client._buffers) <= bound
+    assert completed == 10_000 * (len(flows) - 1)
+
+
+def test_client_completes_late_fragments_inside_replay_window():
+    """Eviction keeps every buffer the replay window still accepts: the
+    last fragments of frames 1..W+1 arrive after frame W+1 began, and all
+    of those units complete; frame 0 fell below the window and does not."""
+    client = Client(ROOT)
+    flow = CubeId(0, 2, 9)
+    unit = sealed_unit(flow, frame=0, n_points=100)[0].to_bytes()
+    last = {}
+    for frame in range(REPLAY_WINDOW_FRAMES + 2):
+        *head, last[frame] = packetize(unit, flow, frame, mtu=200)
+        assert all(client.on_datagram(d, 0.0) is None for d in head)
+    assert client.on_datagram(last[0], 0.0) is None
+    for frame in range(1, REPLAY_WINDOW_FRAMES + 2):
+        assert client.on_datagram(last[frame], 0.0) is not None

@@ -1,10 +1,11 @@
 """The one-pass grouping stage against the plain per-point, per-cube path.
 
 Grid reuse with a change mask must give the same CubeSet as locating every
-point again, and the array form of score_cubes must give the same scores,
-to the bit, as perceptual_saliency and privacy_saliency applied cube by
-cube. Both run over moving, churning and static scenes, through reused
-and re-partitioned grids and a point-count change.
+point again, while keeping the previous Cube object for every cell that no
+changed point left or entered; and the array form of score_cubes must give
+the same scores, to the bit, as perceptual_saliency and privacy_saliency
+applied cube by cube. Both run over moving, churning and static scenes,
+through reused and re-partitioned grids and a point-count change.
 """
 
 from dataclasses import astuple, replace
@@ -13,8 +14,15 @@ import numpy as np
 import pytest
 
 from privis.bench import _changed_mask, default_scene, leakage_scene
-from privis.frame_io import generate_frame
-from privis.partition import PartitionConfig, partition_frame, reuse_or_repartition
+from privis.frame_io import PointCloudFrame, generate_frame
+from privis.partition import (
+    CubeId,
+    PartitionConfig,
+    _cells_for,
+    _count_nonempty,
+    partition_frame,
+    reuse_or_repartition,
+)
 from privis.saliency import (
     SaliencyConfig,
     SaliencyScore,
@@ -92,6 +100,116 @@ def test_masked_reuse_matches_full_relocation(frames, threshold):
         assert epochs == list(range(1, FRAMES))
     else:  # only the point-count change re-partitions
         assert epochs == [0] * (FRAMES // 2 - 1) + [1] * (FRAMES // 2)
+
+
+def _rebuilt(cubes, prev):
+    """Ids of the cubes that are not ``prev``'s objects."""
+    before = prev.by_id()
+    return {c.id for c in cubes.cubes if before.get(c.id) is not c}
+
+
+def _touched(cubes, prev, changed):
+    """Cells a changed point left or entered."""
+    points = np.flatnonzero(changed)
+    return prev.cube_ids_of(points) | cubes.cube_ids_of(points)
+
+
+def test_reuse_rebuilds_exactly_the_touched_cells(frames):
+    name, frames = frames
+    reused = 0
+    prev_frame = frames[0]
+    for cubes, prev, frame in _grouped(frames)[1:]:
+        if cubes.boundary_epoch == prev.boundary_epoch and frame.num_points == prev_frame.num_points:
+            touched = _touched(cubes, prev, _changed_mask(frame, prev_frame))
+            assert _rebuilt(cubes, prev) == touched & {c.id for c in cubes.cubes}
+            reused += 1
+        prev_frame = frame
+    assert reused == {"orbit": 11, "churn": 0, "static": 11, "resized": 10}[name]
+
+
+def test_orbit_spill_rebuilds_cells_points_enter_and_leave():
+    """Frame 6 of the orbit spills the cluster into cells of the static
+    background, frame 7 leaves them again: those cells keep their other
+    points, and each is rebuilt in the frame its membership changes."""
+    frames = SCENES["orbit"]()
+    grouped = _grouped(frames)
+    for i in (6, 7):
+        cubes, prev, frame = grouped[i]
+        changed = _changed_mask(frame, frames[i - 1])
+        moved = set(np.flatnonzero(changed).tolist())
+        both = {c.id for c in prev.cubes} & {c.id for c in cubes.cubes}
+        shared = {
+            cid for cid in both & _touched(cubes, prev, changed)
+            if not set(prev.by_id()[cid].point_indices.tolist()) <= moved
+            and not set(cubes.by_id()[cid].point_indices.tolist()) <= moved
+        }
+        assert shared, f"frame {i}: no cell holds both moved and unmoved points"
+        assert shared <= _rebuilt(cubes, prev)
+        _assert_same_cube_set(cubes, reuse_or_repartition(prev, frame))
+
+
+def test_recolor_only_change_rebuilds_its_cube():
+    frames = SCENES["static"]()[:2]
+    prev = partition_frame(frames[0])
+    colors = frames[0].colors.copy()
+    colors[123] ^= 1
+    frame = replace(frames[0], frame_id=1, colors=colors)
+    changed = _changed_mask(frame, frames[0])
+    assert np.flatnonzero(changed).tolist() == [123]
+    cubes = reuse_or_repartition(prev, frame, PartitionConfig(), changed)
+    assert _rebuilt(cubes, prev) == prev.cube_ids_of(np.array([123]))
+    _assert_same_cube_set(cubes, reuse_or_repartition(prev, frame))
+
+
+def _far_apart_frame(frame_id):
+    """A line of 64 unit-spaced points and one point 1e9 away: the tuned
+    edge is about one, so cell indices need more than 21 bits per axis."""
+    positions = np.zeros((65, 3))
+    positions[:64, 0] = np.arange(64)
+    positions[64] = 1e9
+    n = len(positions)
+    return PointCloudFrame(
+        frame_id=frame_id,
+        positions=positions,
+        colors=np.full((n, 3), 128, dtype=np.uint8),
+        sensitivity=np.zeros(n, dtype=np.uint8),
+        viewpoint=np.zeros(3),
+        user_anchor=np.zeros(3),
+    )
+
+
+def test_reuse_without_packed_keys_matches_full_relocation():
+    first = _far_apart_frame(0)
+    prev = partition_frame(first)
+    assert prev.point_keys is None and prev.point_cells is not None
+    moved = _far_apart_frame(1)
+    moved.positions[5, 0] += 0.5  # stays in its cell
+    moved.positions[7, 0] += 1.0  # joins its neighbour's cell
+    cubes = reuse_or_repartition(prev, moved, PartitionConfig(), _changed_mask(moved, first))
+    assert cubes.boundary_epoch == prev.boundary_epoch and cubes.point_keys is None
+    assert cubes.point_cells.tobytes() == _cells_for(moved.positions, prev.grid_origin, prev.grid_edge).tobytes()
+    _assert_same_cube_set(cubes, reuse_or_repartition(prev, moved))
+    assert cubes.cube_ids_of(np.array([7, 8, 64])) == {
+        CubeId(*row) for row in cubes.point_cells[[8, 64]].tolist()
+    }
+
+
+def test_cube_ids_of_matches_unique_reference(frames):
+    _name, frames = frames
+    rng = np.random.default_rng(5)
+    for cubes, _prev, frame in _grouped(frames):
+        for size in (0, 1, 50, frame.num_points // 3):
+            points = rng.choice(frame.num_points, size=size, replace=False)
+            rows = np.unique(cubes.point_cells[points], axis=0).tolist()
+            assert cubes.cube_ids_of(points) == {CubeId(*row) for row in rows}
+
+
+def test_cold_count_matches_unique_reference():
+    frame = SCENES["orbit"]()[0]
+    origin = frame.positions.min(axis=0)
+    for edge in (4.0, 0.5, 0.11, 0.03, 1e-7):
+        cells = _cells_for(frame.positions, origin, edge)
+        assert _count_nonempty(frame.positions, origin, edge) == len(np.unique(cells, axis=0))
 
 
 def _reference_scores(cubes, frame, prev_cubes, cfg):
