@@ -5,46 +5,21 @@ saliency-conditioned protection: spatial cube partitioning, joint
 perceptual-privacy scoring, per-cube AEAD with adaptive key rotation,
 selective traffic shaping with a mutual-information leakage bound, and a
 verifying client with hold-over rendering admission.
+
+The names below are the ones the demos use; everything else is imported
+from its submodule.
 """
 
-from .errors import (
-    AuthFailure,
-    BudgetExceededWarning,
-    ConfigError,
-    FrameParseError,
-    InsufficientData,
-    MalformedHeader,
-    NonceReuseError,
-    OrderingError,
-    PrivisError,
-    ValidationError,
-)
-from .frame_io import (
-    PointCloudFrame,
-    PointRecord,
-    SceneSpec,
-    generate_frame,
-    generate_scene,
-    load_frame,
-    write_frame,
-)
+from .errors import BudgetExceededWarning
+from .frame_io import SceneSpec, generate_frame, generate_scene, load_frame, write_frame
 from .partition import (
-    Cube,
     CubeId,
-    CubeSet,
     PartitionConfig,
     membership_change_fraction,
     partition_frame,
     reuse_or_repartition,
 )
-from .saliency import (
-    SaliencyConfig,
-    SaliencyScore,
-    joint_saliency,
-    perceptual_saliency,
-    privacy_saliency,
-    score_cubes,
-)
+from .saliency import SaliencyConfig, score_cubes
 from .policy import (
     CostModel,
     PolicyBudget,
@@ -53,67 +28,13 @@ from .policy import (
     ProtectionPolicy,
     Scope,
     assign_policy,
-    calibrate_cost_model,
     enforce_budget,
-    protection_level,
 )
-from .keyring import KeyEpoch, KeyRing, RootKey, derive_key, hkdf_sha256, key_for_frame
-from .seal import (
-    CubePlaintext,
-    NonceRegistry,
-    SealedCube,
-    nonce_for,
-    open_cube,
-    seal_cube,
-    serialize_cube,
-)
-from .shaping import (
-    ShapedPacket,
-    ShapingConfig,
-    flow_rng,
-    jitter_delay,
-    pad_length,
-    schedule_flow,
-    shape_times,
-)
-from .netw import (
-    Datagram,
-    NetConfig,
-    TrafficTrace,
-    flow_isolation_check,
-    packetize,
-    reassemble,
-    transmit,
-)
-from .leakage import (
-    AdaptAction,
-    LeakageConfig,
-    LeakageReport,
-    estimate_mi,
-    leakage_check_and_adapt,
-    trace_features,
-)
-from .client import (
-    Admitted,
-    Client,
-    Dropped,
-    FrameSummary,
-    HeldOver,
-    RenderState,
-    ReplayGuard,
-    admit_cube,
-    frame_compose,
-    replay_filter,
-)
-from .bench import (
-    ComparisonResult,
-    LatencyBreakdown,
-    RunConfig,
-    SessionResult,
-    compare_modes,
-    default_scene,
-    leakage_scene,
-    run_session,
-)
+from .keyring import KeyRing, RootKey
+from .seal import CubePlaintext, SealedCube, seal_cube
+from .netw import NetConfig, packetize
+from .leakage import LeakageConfig, estimate_mi
+from .client import Client, frame_compose
+from .bench import RunConfig, compare_modes, default_scene, leakage_scene, run_session
 
 __version__ = "0.1.0"

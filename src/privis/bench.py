@@ -10,23 +10,31 @@ Modes:
     privis   full adaptive pipeline: per-cube policies, selective rekey,
              scope-aware sealing, selective shaping, leakage adaptation.
 
+``Session.step`` is one pipeline for all three. A mode only picks a
+planner (one unit per cube, or one per frame) and a unit codec (plain, or
+sealed under the key schedule); the budget pass, shaping and leakage
+adaptation are switched on for privis alone.
+
 Per-frame stage accounting (wall time, monotonic clock):
 
     saliency_grouping   change detection, partition/reuse, scoring,
                         changed-cube lookup
-    key_management      policy assignment, budget pass, key schedule
+    key_management      unit plan (policy assignment, budget pass), key
+                        schedule
     encryption          seal_cube calls only
     decryption          open_cube calls only
     transport_assembly  payload serialization, shaping decisions,
-                        packetization, schedule merge, receiver intake,
-                        plain-unit admission (noenc), frame composition
+                        plain-unit framing (noenc), packetization, schedule
+                        merge, receiver intake, plain-unit admission
+                        (noenc), frame composition
     total               one bracket around all of the above
 
-Refresh rule (all keyed modes): a cube is re-sealed and re-sent when its
-key rotated this frame, its content changed, or it is new; otherwise the
-receiver keeps rendering its held-over verified copy. NoEnc refreshes on
-content change alone. The emulated network runs on virtual time and is
-excluded from the latency accounting.
+Refresh rule: a unit is sealed and sent again when its content changed or
+its key rotated this frame (a new cube's key rotates at its first frame);
+otherwise the receiver keeps rendering its held-over verified copy. Plain
+units have no key, so noenc refreshes on content change alone. The
+emulated network runs on virtual time and is excluded from the latency
+accounting.
 """
 
 from __future__ import annotations
@@ -41,7 +49,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .client import Client, FrameSummary, frame_compose
+from .client import Admitted, AdmitOutcome, Client, FrameSummary, frame_compose
 from .errors import ConfigError, OrderingError
 from .frame_io import PointCloudFrame, SceneSpec, generate_frame
 from .keyring import KeyRing, RootKey
@@ -226,24 +234,6 @@ class _StageClock:
             self._stage = None
 
 
-def _plain_unit(plain: CubePlaintext) -> bytes:
-    """NoEnc wire unit: point count then the two payload sections."""
-    n = plain.num_points
-    return n.to_bytes(4, "little") + plain.geometry + plain.attributes
-
-
-def _parse_plain_unit(unit: bytes) -> CubePlaintext:
-    n = int.from_bytes(unit[:4], "little")
-    geo = unit[4 : 4 + 12 * n]
-    attrs = unit[4 + 12 * n : 4 + 16 * n]
-    return CubePlaintext(geo, attrs)
-
-
-def _sealed_base_len(plain: CubePlaintext, scope: Scope) -> int:
-    """Wire length of the sealed unit before shaping pad."""
-    return HEADER_LEN + NONCE_LEN + len(plain.geometry) + len(plain.attributes) + TAG_LEN
-
-
 def _content_digest(plaintexts: dict[CubeId, CubePlaintext]) -> str:
     """Order-independent digest of rendered points (16-byte rows, sorted)."""
     rows = []
@@ -304,8 +294,100 @@ def _policy_assigner(pol_cfg: PolicyConfig):
     return assign
 
 
+@dataclass(frozen=True)
+class _CubePlanner:
+    """One unit per cube, in score order, with the policy its score earns
+    under the current theta; given a budget, enforce_budget then downgrades
+    the least salient cubes until the estimated cost fits."""
+
+    policy: PolicyConfig
+    budget: PolicyBudget | None
+
+    def plan(self, theta: float, scores, by_id) -> list[tuple[CubeId, float, ProtectionPolicy]]:
+        pol_cfg = replace(self.policy, theta=theta)
+        assign = _policy_assigner(pol_cfg)
+        if self.budget is None:
+            return [(r.cube_id, r.s, assign(r.s)) for r in scores]
+        triplets = [(by_id[r.cube_id], r.s, assign(r.s)) for r in scores]
+        adjusted, _cost, _exhausted = enforce_budget(triplets, self.budget, cfg=pol_cfg)
+        return [(cube.id, s, pol) for cube, s, pol in adjusted]
+
+    def payload(self, frame: PointCloudFrame, by_id, cid: CubeId) -> CubePlaintext:
+        return serialize_cube(frame, by_id[cid])
+
+
+class _FramePlanner:
+    """One whole-frame unit per frame, at full-payload HIGH protection with
+    a fresh key every frame and no shaping."""
+
+    POLICY = ProtectionPolicy(ProtectionLevel.HIGH, 1, Scope.FULL_PAYLOAD, 0.0)
+
+    def plan(self, theta: float, scores, by_id) -> list[tuple[CubeId, float, ProtectionPolicy]]:
+        return [(UNIFORM_CUBE, 1.0, self.POLICY)]
+
+    def payload(self, frame: PointCloudFrame, by_id, cid: CubeId) -> CubePlaintext:
+        geo = np.ascontiguousarray(frame.positions, dtype="<f4").tobytes()
+        attrs = np.empty((frame.num_points, 4), dtype=np.uint8)
+        attrs[:, :3] = frame.colors
+        attrs[:, 3] = frame.sensitivity
+        return CubePlaintext(geo, attrs.tobytes())
+
+
+class _PlainCodec:
+    """Units in the clear: a u32 point count, then the geometry and
+    attribute sections. There is no key schedule and nothing to verify, so
+    framing and parsing count as transport_assembly."""
+
+    seal_stage = open_stage = "transport_assembly"
+    overhead = 4  # the point count
+
+    def schedule(self, cid, frame_id, pol, stable):
+        return None, False
+
+    def encode(self, plain, key, pol, frame_id, pad_len) -> bytes:
+        return plain.num_points.to_bytes(4, "little") + plain.geometry + plain.attributes
+
+    def receive(self, client, dgram, arrival):
+        unit = client.intake(dgram)
+        if unit is None:
+            return None
+        n = int.from_bytes(unit[:4], "little")
+        plain = CubePlaintext(unit[4 : 4 + 12 * n], unit[4 + 12 * n : 4 + 16 * n])
+        return dgram.flow_id, dgram.frame_id, plain
+
+    def admit(self, client, item, arrival) -> Admitted:
+        return client.admit_plain(*item)
+
+
+@dataclass(frozen=True)
+class _SealedCodec:
+    """AEAD units: sealed under the cube's key epoch for this frame, which
+    the key schedule rotates; the client verifies before anything renders."""
+
+    seal_stage, open_stage = "encryption", "decryption"
+    overhead = HEADER_LEN + NONCE_LEN + TAG_LEN
+    ring: KeyRing
+    registry: NonceRegistry
+
+    def schedule(self, cid, frame_id, pol, stable):
+        key = self.ring.key_for_frame(cid, frame_id, pol, stable)
+        return key, self.ring.rotated_this_frame(cid, frame_id)
+
+    def encode(self, plain, key, pol, frame_id, pad_len) -> bytes:
+        sealed = seal_cube(plain, key, pol, frame_id, self.ring.session_id, pad_len=pad_len, registry=self.registry)
+        return sealed.to_bytes()
+
+    def receive(self, client, dgram, arrival) -> SealedCube | None:
+        return client.on_datagram(dgram, arrival)
+
+    def admit(self, client, sealed, arrival) -> AdmitOutcome:
+        return client.admit(sealed, now_ms=arrival)
+
+
 class Session:
-    """One mode's pipeline, advanced frame by frame.
+    """One mode's pipeline, advanced frame by frame. The mode is resolved
+    once, here, into a planner and a unit codec; ``step`` is the same for
+    every mode.
 
     Keeping the per-frame step explicit lets compare_modes interleave the
     three configurations in lockstep, so slow environment drift (CPU
@@ -324,12 +406,22 @@ class Session:
         self.registry = NonceRegistry()
         self.client = Client(self.root)
         self.result = SessionResult(mode=cfg.mode, config=cfg)
+        adaptive = cfg.mode == "privis"
+        if cfg.mode == "uniform":
+            self.planner = _FramePlanner()
+        else:
+            self.planner = _CubePlanner(cfg.policy, cfg.budget if adaptive else None)
+        if cfg.mode == "noenc":
+            self.codec = _PlainCodec()
+        else:
+            self.codec = _SealedCodec(self.ring, self.registry)
+        self._shape = adaptive and cfg.shaping_enabled
+        self._adapt = adaptive
         self.theta = cfg.policy.theta
         self.prev_cubes: CubeSet | None = None
         self.prev_frame: PointCloudFrame | None = None
         self.window_samples: list[tuple[int, tuple[float, float, float]]] = []
         self.stage_sums = dict.fromkeys((*_STAGES, "total"), 0.0)
-        self._uniform_policy = ProtectionPolicy(ProtectionLevel.HIGH, 1, Scope.FULL_PAYLOAD, 0.0)
         self._frames_done = 0
 
     def run(self) -> SessionResult:
@@ -347,14 +439,10 @@ class Session:
         return self.result
 
     def step(self, i: int) -> None:
-        cfg = self.cfg
-        root, ring, registry, client = self.root, self.ring, self.registry, self.client
-        result = self.result
+        cfg, client, result = self.cfg, self.client, self.result
+        planner, codec = self.planner, self.codec
         theta = self.theta
-        prev_cubes, prev_frame = self.prev_cubes, self.prev_frame
-        window_samples = self.window_samples
-        stage_sums = self.stage_sums
-        uniform_policy = self._uniform_policy
+        prev_cubes = self.prev_cubes
 
         frame = generate_frame(cfg.scene, i)
         clock = _StageClock()
@@ -364,7 +452,7 @@ class Session:
         # stage 1: grouping and scoring (all modes, identical work); the
         # change mask tells the grid reuse which points need locating again
         clock.start("saliency_grouping")
-        changed = _changed_mask(frame, prev_frame)
+        changed = _changed_mask(frame, self.prev_frame)
         if prev_cubes is None:
             cubes = partition_frame(frame, cfg.partition.target_cubes)
         else:
@@ -375,99 +463,47 @@ class Session:
         stable = prev_cubes is not None and cubes.boundary_epoch == prev_cubes.boundary_epoch
         clock.stop()
 
-        # stage 2: policy and key schedule
+        # stage 2: unit plan and key schedule. A unit is refreshed when its
+        # content changed or its key rotated this frame (a new cube's key
+        # rotates at its first frame); refresh order is plan order.
         clock.start("key_management")
-        plan: list[tuple[CubeId, float, ProtectionPolicy]] = []
-        if cfg.mode == "uniform":
-            key_epochs = {UNIFORM_CUBE: ring.key_for_frame(UNIFORM_CUBE, i, uniform_policy, True)}
-            plan.append((UNIFORM_CUBE, 1.0, uniform_policy))
-            refresh = {UNIFORM_CUBE}
-        elif cfg.mode == "privis":
-            pol_cfg = replace(cfg.policy, theta=theta)
-            assign = _policy_assigner(pol_cfg)
-            triplets = [(by_id[r.cube_id], r.s, assign(r.s)) for r in scores]
-            adjusted, _cost, _exhausted = enforce_budget(
-                triplets, cfg.budget, cfg=pol_cfg
-            )
-            key_epochs = {}
-            refresh = set()
-            for cube, s, pol in adjusted:
-                cid = cube.id
-                is_new = not ring.has_cube(cid)
-                key_epochs[cid] = ring.key_for_frame(cid, i, pol, stable)
-                rotated = ring.rotated_this_frame(cid, i)
-                if rotated or is_new or changed_cubes is None or cid in changed_cubes:
-                    refresh.add(cid)
-                plan.append((cid, s, pol))
-        else:  # noenc
-            assign = _policy_assigner(cfg.policy)
-            key_epochs = {}
-            refresh = set()
-            for r in scores:
-                if changed_cubes is None or r.cube_id in changed_cubes:
-                    refresh.add(r.cube_id)
-                plan.append((r.cube_id, r.s, assign(r.s)))
+        plan = {cid: (s, pol) for cid, s, pol in planner.plan(theta, scores, by_id)}
+        keys = {}
+        refresh: set[CubeId] = set()
+        for cid, (_s, pol) in plan.items():
+            keys[cid], rotated = codec.schedule(cid, i, pol, stable)
+            if rotated or changed_cubes is None or cid in changed_cubes:
+                refresh.add(cid)
         clock.stop()
 
-        # transport pass 1: serialize refresh payloads
+        # transport pass 1: serialize refresh payloads; shaping decisions
+        # (pad lengths) for the above-theta flows
         clock.start("transport_assembly")
-        payloads: dict[CubeId, CubePlaintext] = {}
-        if cfg.mode == "uniform":
-            geo = np.ascontiguousarray(frame.positions, dtype="<f4").tobytes()
-            attrs = np.empty((frame.num_points, 4), dtype=np.uint8)
-            attrs[:, :3] = frame.colors
-            attrs[:, 3] = frame.sensitivity
-            payloads[UNIFORM_CUBE] = CubePlaintext(geo, attrs.tobytes())
-        else:
-            for cid in refresh:
-                payloads[cid] = serialize_cube(frame, by_id[cid])
-        # shaping decisions: pad lengths (privis only, above-theta flows)
-        plan_by_id = {cid: (s, pol) for cid, s, pol in plan}
         shaped_cfg = replace(cfg.shaping, theta=theta)
+        payloads: dict[CubeId, CubePlaintext] = {}
         pad_lens: dict[CubeId, int] = {}
         rngs = {}
         for cid in refresh:
-            s, pol = plan_by_id[cid]
-            base = _sealed_base_len(payloads[cid], pol.scope)
-            if cfg.mode == "privis" and cfg.shaping_enabled and pol.shaping_strength > 0.0:
-                rng = flow_rng(cfg.shaping, cid, i)
-                rngs[cid] = rng
-                shaped_len = pad_length(base, s, shaped_cfg, rng)
-                pad_lens[cid] = shaped_len - base
-            else:
-                pad_lens[cid] = 0
+            s, pol = plan[cid]
+            plain = payloads[cid] = planner.payload(frame, by_id, cid)
+            pad_lens[cid] = 0
+            if self._shape and pol.shaping_strength > 0.0:
+                rng = rngs[cid] = flow_rng(cfg.shaping, cid, i)
+                base = codec.overhead + len(plain.geometry) + len(plain.attributes)
+                pad_lens[cid] = pad_length(base, s, shaped_cfg, rng) - base
         clock.stop()
 
-        # stage 3a: sealing
-        sealed_units: dict[CubeId, bytes] = {}
-        if cfg.mode == "noenc":
-            clock.start("transport_assembly")
-            for cid in refresh:
-                sealed_units[cid] = _plain_unit(payloads[cid])
-            clock.stop()
-        else:
-            clock.start("encryption")
-            for cid in refresh:
-                s, pol = plan_by_id[cid]
-                sealed = seal_cube(
-                    payloads[cid],
-                    key_epochs[cid],
-                    pol,
-                    i,
-                    root.session_id,
-                    pad_len=pad_lens[cid],
-                    registry=registry,
-                )
-                sealed_units[cid] = sealed.to_bytes()
-            clock.stop()
+        # stage 3a: sealing (framing, for plain units)
+        clock.start(codec.seal_stage)
+        units = {cid: codec.encode(payloads[cid], keys[cid], plan[cid][1], i, pad_lens[cid]) for cid in refresh}
+        clock.stop()
 
         # stage 3b: packetize, shape times, merge
         clock.start("transport_assembly")
         sendlist: list[tuple[Datagram, float]] = []
-        frame_units: dict[CubeId, bytes] = {}
-        for cid, s_pol in ((c, plan_by_id[c]) for c in refresh):
-            s, pol = s_pol
-            unit = sealed_units[cid]
+        for cid in refresh:
+            s, pol = plan[cid]
+            unit = units[cid]
             frags = packetize(unit, cid, i, cfg.net.mtu)
             times = [nominal_time] * len(frags)
             jitters = (0.0,) * len(frags)
@@ -475,7 +511,6 @@ class Session:
                 shaped, jit = shape_times(times, s, shaped_cfg, rngs[cid])
                 times, jitters = shaped, tuple(jit)
             sendlist.extend(zip(frags, times))
-            base = _sealed_base_len(payloads[cid], pol.scope) if cfg.mode != "noenc" else len(unit)
             result.unit_records.append(
                 UnitRecord(
                     frame_id=i,
@@ -483,14 +518,13 @@ class Session:
                     s=s,
                     level=int(pol.level),
                     sigma=pol.shaping_strength,
-                    base_len=base,
+                    base_len=len(unit) - pad_lens[cid],
                     padded_len=len(unit),
                     send_times=tuple(times),
                     nominal_time=nominal_time,
                     jitters=jitters,
                 )
             )
-            frame_units[cid] = unit
             if cfg.keep_units:
                 result.sealed_units[(i, cid)] = unit
         sendlist.sort(key=lambda p: p[1])
@@ -504,55 +538,43 @@ class Session:
 
         # receiver intake: replay filter, reassembly, timeout cutoff
         clock.start("transport_assembly")
-        completed: list[tuple[SealedCube | CubePlaintext, float]] = []
+        completed = []
         deadline = None
         for dgram, arrival in delivered:
             if deadline is None:
                 deadline = arrival + cfg.frame_timeout_ms
             if arrival > deadline:
                 continue
-            if cfg.mode == "noenc":  # plain units skip verification
-                unit = client.intake(dgram)
-                if unit is not None:
-                    completed.append(((dgram.flow_id, _parse_plain_unit(unit)), arrival))
-            else:
-                sealed = client.on_datagram(dgram, arrival)
-                if sealed is not None:
-                    completed.append((sealed, arrival))
+            item = codec.receive(client, dgram, arrival)
+            if item is not None:
+                completed.append((item, arrival))
         clock.stop()
 
-        # stage 3c / client: verification (plain units need none), then
-        # frame composition
+        # client: verification (admission, for plain units), then frame
+        # composition
+        clock.start(codec.open_stage)
         outcomes = {}
-        if cfg.mode != "noenc":
-            clock.start("decryption")
-            for sealed, arrival in completed:
-                out = client.admit(sealed, now_ms=arrival)
-                outcomes[sealed.cube_id] = out
-            clock.stop()
+        for item, arrival in completed:
+            out = codec.admit(client, item, arrival)
+            outcomes[out.cube_id] = out
+        clock.stop()
         clock.start("transport_assembly")
-        if cfg.mode == "noenc":
-            for (cid, unit_plain), arrival in completed:
-                outcomes[cid] = _admit_plain(client, cid, i, unit_plain)
-        expected = [UNIFORM_CUBE] if cfg.mode == "uniform" else sorted(by_id)
-        summary, resolved = frame_compose(i, outcomes, expected, client.state, now_ms=nominal_time)
+        summary, resolved = frame_compose(i, outcomes, sorted(plan), client.state, now_ms=nominal_time)
         clock.stop()
         result.summaries.append(summary)
 
         total_s = time.perf_counter() - t_frame0 - net_cost_s
-        # leakage samples and adaptation (privis only)
-        if cfg.mode == "privis":
+        # leakage samples and adaptation
+        if self._adapt:
             for cid, trace in traces.items():
                 if trace.packet_count == 0:
                     continue
-                level = int(plan_by_id[cid][1].level)
-                feats = trace_features(trace)
-                sample = (level, feats)
-                window_samples.append(sample)
+                sample = (int(plan[cid][1].level), trace_features(trace))
+                self.window_samples.append(sample)
                 result.mi_samples.append(sample)
             if cfg.adaptation_enabled and (i + 1) % cfg.leakage.window_frames == 0:
-                theta = _run_adaptation(cfg, result, window_samples, theta, i, plan_by_id, frame_units)
-                self.window_samples = window_samples = []
+                theta = _run_adaptation(cfg, result, self.window_samples, theta, i, plan, refresh)
+                self.window_samples = []
         result.theta_trace.append(theta)
 
         if cfg.content_digests:
@@ -582,8 +604,8 @@ class Session:
         row["total_ms"] = total_s * 1e3
         result.frame_rows.append(row)
         for stage in _STAGES:
-            stage_sums[stage] += clock.acc[stage]
-        stage_sums["total"] += total_s
+            self.stage_sums[stage] += clock.acc[stage]
+        self.stage_sums["total"] += total_s
 
         self.prev_cubes, self.prev_frame = cubes, frame
         self.theta = theta
@@ -595,19 +617,18 @@ def run_session(cfg: RunConfig) -> SessionResult:
     return Session(cfg).run()
 
 
-def _run_adaptation(cfg, result, window_samples, theta, frame_idx, plan_by_id, frame_units):
-    """Stage-4 window close: estimate MI, tighten theta on violation, and
-    re-send the window's critical sealed units once (traffic-level
-    remediation; the client treats the copies as replayed duplicates)."""
+def _run_adaptation(cfg, result, window_samples, theta, frame_idx, plan, sent):
+    """Stage-4 window close: estimate MI and tighten theta on violation.
+    The units of the closing frame that score above the new theta are the
+    window's critical units; they are counted in ``retransmitted_units``
+    but not sent again, so wire bytes stay what the frame sent."""
     if len(window_samples) < 2:
         return theta
     report = estimate_mi(window_samples, cfg.leakage)
     new_theta, action = leakage_check_and_adapt(report, theta, cfg.leakage)
     retransmitted = 0
     if action is not None:
-        for cid, (s, _pol) in plan_by_id.items():
-            if cid in frame_units and s > action.new_theta:
-                retransmitted += 1
+        retransmitted = sum(1 for cid, (s, _pol) in plan.items() if cid in sent and s > action.new_theta)
     result.leakage_windows.append(
         {
             "window_end_frame": frame_idx,
@@ -621,17 +642,6 @@ def _run_adaptation(cfg, result, window_samples, theta, frame_idx, plan_by_id, f
         }
     )
     return new_theta
-
-
-# NoEnc admission: plain units reuse the client's render state but skip
-# verification entirely.
-
-
-def _admit_plain(client: Client, cid: CubeId, frame_id: int, plain: CubePlaintext):
-    from .client import Admitted
-
-    client.state.last_verified[cid] = (frame_id, plain)
-    return Admitted(cid, frame_id, plain)
 
 
 @dataclass

@@ -267,3 +267,12 @@ class Client:
 
     def admit(self, sealed: SealedCube, now_ms: float = 0.0) -> AdmitOutcome:
         return admit_cube(sealed, self.root, self.state, now_ms, key_cache=self._key_cache)
+
+    def admit_plain(self, cube_id: CubeId, frame_id: int, plaintext: CubePlaintext) -> Admitted:
+        """Admit an unencrypted unit (raw streaming): there is nothing to
+        verify, so it becomes the cube's render copy unless a newer frame's
+        copy is already held, the same rule admit_cube applies."""
+        prev = self.state.last_verified.get(cube_id)
+        if prev is None or frame_id >= prev[0]:
+            self.state.last_verified[cube_id] = (frame_id, plaintext)
+        return Admitted(cube_id, frame_id, plaintext)

@@ -25,7 +25,7 @@ frame sequences in any implementation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -34,7 +34,6 @@ from .errors import FrameParseError, ValidationError
 from .rng import Mcg64
 
 __all__ = [
-    "PointRecord",
     "PointCloudFrame",
     "SceneSpec",
     "load_frame",
@@ -42,19 +41,6 @@ __all__ = [
     "generate_scene",
     "generate_frame",
 ]
-
-
-@dataclass(frozen=True)
-class PointRecord:
-    """One point: position in meters, 8-bit color, binary sensitivity label."""
-
-    x: float
-    y: float
-    z: float
-    r: int
-    g: int
-    b: int
-    sensitivity: int = 0
 
 
 @dataclass
@@ -88,13 +74,6 @@ class PointCloudFrame:
     @property
     def num_points(self) -> int:
         return len(self.positions)
-
-    def point(self, i: int) -> PointRecord:
-        return PointRecord(
-            *(float(v) for v in self.positions[i]),
-            *(int(v) for v in self.colors[i]),
-            int(self.sensitivity[i]),
-        )
 
 
 @dataclass(frozen=True)

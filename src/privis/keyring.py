@@ -29,7 +29,7 @@ from .errors import ValidationError
 from .partition import CubeId
 from .policy import ProtectionPolicy
 
-__all__ = ["RootKey", "KeyEpoch", "KeyRing", "hkdf_sha256", "derive_key", "key_for_frame"]
+__all__ = ["RootKey", "KeyEpoch", "KeyRing", "hkdf_sha256", "derive_key"]
 
 _INFO_PREFIX = b"privis/cube"
 
@@ -109,9 +109,6 @@ class KeyRing:
     def session_id(self) -> bytes:
         return self.root.session_id
 
-    def has_cube(self, cube_id: CubeId) -> bool:
-        return cube_id in self._table
-
     def key_for_frame(
         self,
         cube_id: CubeId,
@@ -140,18 +137,3 @@ class KeyRing:
     def rotated_this_frame(self, cube_id: CubeId, frame_id: int) -> bool:
         state = self._table.get(cube_id)
         return state is not None and state.last_rotation_frame == frame_id
-
-    def key_for_epoch(self, cube_id: CubeId, epoch: int) -> bytes:
-        """Receiver-side derivation from header fields."""
-        return derive_key(self.root, cube_id, epoch)
-
-
-def key_for_frame(
-    ring: KeyRing,
-    cube_id: CubeId,
-    frame_id: int,
-    policy: ProtectionPolicy,
-    stable: bool = True,
-) -> KeyEpoch:
-    """Function-style alias for KeyRing.key_for_frame."""
-    return ring.key_for_frame(cube_id, frame_id, policy, stable)

@@ -149,6 +149,19 @@ def test_last_verified_frame_monotone():
     assert state.last_verified[cube][0] == 7
 
 
+def test_admit_plain_renders_unit_and_keeps_newest_copy():
+    client = Client(ROOT)
+    cube = CubeId(5, 1, 2)
+    p7 = CubePlaintext(bytes(12), bytes([1, 2, 3, 0]))
+    p3 = CubePlaintext(bytes(24), bytes(8))
+    assert client.admit_plain(cube, 7, p7) == Admitted(cube, 7, p7)
+    assert client.admit_plain(cube, 3, p3) == Admitted(cube, 3, p3)  # late: not rolled back
+    assert client.state.last_verified[cube] == (7, p7)
+    summary, resolved = frame_compose(8, {}, [cube], client.state)
+    assert resolved[cube] == HeldOver(cube, 8, 7, p7)
+    assert summary.held == 1
+
+
 # --- composition ---
 
 

@@ -156,11 +156,3 @@ def test_invalid_spec_rejected():
     with pytest.raises(ValidationError):
         generate_frame(SceneSpec(1, 1, 100, 1.5, 0.0), 0)
 
-
-def test_point_record_accessor():
-    spec = SceneSpec(2, 1, 50, 0.5, 0.0)
-    frame = generate_frame(spec, 0)
-    rec = frame.point(0)
-    assert (rec.x, rec.y, rec.z) == tuple(frame.positions[0])
-    assert (rec.r, rec.g, rec.b) == tuple(int(v) for v in frame.colors[0])
-    assert rec.sensitivity == int(frame.sensitivity[0])

@@ -103,15 +103,14 @@ def test_reused_epoch_returns_identical_key_object_fields():
     a = ring.key_for_frame(cube, 0, LOW, stable=True)
     b = ring.key_for_frame(cube, 1, LOW, stable=True)
     assert (a.epoch, a.key) == (b.epoch, b.key)
-    assert ring.key_for_epoch(cube, a.epoch) == a.key
+    assert derive_key(ring.root, cube, a.epoch) == a.key
 
 
 def test_receiver_side_derivation_matches_sender():
     ring = KeyRing(RootKey.from_hex("66" * 32))
     cube = CubeId(-1, 4, 2)
     sender = ring.key_for_frame(cube, 0, HIGH, stable=True)
-    receiver = KeyRing(RootKey.from_hex("66" * 32))
-    assert receiver.key_for_epoch(cube, sender.epoch) == sender.key
+    assert derive_key(RootKey.from_hex("66" * 32), cube, sender.epoch) == sender.key
 
 
 def test_hkdf_multi_block_expansion():
@@ -134,11 +133,3 @@ def test_from_hex_session_id_stable():
     assert a.session_id == b.session_id
     assert len(a.session_id) == 16
 
-
-def test_key_for_frame_function_alias():
-    from privis.keyring import key_for_frame
-
-    ring = KeyRing(RootKey.from_hex("88" * 32))
-    cube = CubeId(3, 3, 3)
-    a = key_for_frame(ring, cube, 0, HIGH)
-    assert a.epoch == 0 and len(a.key) == 32
