@@ -39,11 +39,9 @@ accounting.
 
 from __future__ import annotations
 
-import argparse
 import csv
 import hashlib
 import os
-import sys
 import time
 from dataclasses import dataclass, field, replace
 
@@ -103,7 +101,6 @@ __all__ = [
     "run_session",
     "compare_modes",
     "write_session_csvs",
-    "main",
 ]
 
 MODES = ("noenc", "uniform", "privis")
@@ -348,7 +345,7 @@ class _PlainCodec:
         return plain.num_points.to_bytes(4, "little") + plain.geometry + plain.attributes
 
     def receive(self, client, dgram, arrival):
-        unit = client.intake(dgram)
+        unit = client.intake(dgram, arrival)
         if unit is None:
             return None
         n = int.from_bytes(unit[:4], "little")
@@ -371,7 +368,7 @@ class _SealedCodec:
 
     def schedule(self, cid, frame_id, pol, stable):
         key = self.ring.key_for_frame(cid, frame_id, pol, stable)
-        return key, self.ring.rotated_this_frame(cid, frame_id)
+        return key, key.derived_at_frame == frame_id
 
     def encode(self, plain, key, pol, frame_id, pad_len) -> bytes:
         sealed = seal_cube(plain, key, pol, frame_id, self.ring.session_id, pad_len=pad_len, registry=self.registry)
@@ -477,20 +474,19 @@ class Session:
         clock.stop()
 
         # transport pass 1: serialize refresh payloads; shaping decisions
-        # (pad lengths) for the above-theta flows
+        # (pad lengths) for the flows whose policy has sigma > 0
         clock.start("transport_assembly")
-        shaped_cfg = replace(cfg.shaping, theta=theta)
         payloads: dict[CubeId, CubePlaintext] = {}
         pad_lens: dict[CubeId, int] = {}
         rngs = {}
         for cid in refresh:
-            s, pol = plan[cid]
+            pol = plan[cid][1]
             plain = payloads[cid] = planner.payload(frame, by_id, cid)
             pad_lens[cid] = 0
             if self._shape and pol.shaping_strength > 0.0:
                 rng = rngs[cid] = flow_rng(cfg.shaping, cid, i)
                 base = codec.overhead + len(plain.geometry) + len(plain.attributes)
-                pad_lens[cid] = pad_length(base, s, shaped_cfg, rng) - base
+                pad_lens[cid] = pad_length(base, pol.shaping_strength, cfg.shaping, rng) - base
         clock.stop()
 
         # stage 3a: sealing (framing, for plain units)
@@ -508,7 +504,7 @@ class Session:
             times = [nominal_time] * len(frags)
             jitters = (0.0,) * len(frags)
             if cid in rngs:
-                shaped, jit = shape_times(times, s, shaped_cfg, rngs[cid])
+                shaped, jit = shape_times(times, pol.shaping_strength, cfg.shaping, rngs[cid])
                 times, jitters = shaped, tuple(jit)
             sendlist.extend(zip(frags, times))
             result.unit_records.append(
@@ -625,10 +621,10 @@ def _run_adaptation(cfg, result, window_samples, theta, frame_idx, plan, sent):
     if len(window_samples) < 2:
         return theta
     report = estimate_mi(window_samples, cfg.leakage)
-    new_theta, action = leakage_check_and_adapt(report, theta, cfg.leakage)
+    new_theta = leakage_check_and_adapt(report, theta, cfg.leakage)
     retransmitted = 0
-    if action is not None:
-        retransmitted = sum(1 for cid, (s, _pol) in plan.items() if cid in sent and s > action.new_theta)
+    if report.violated:
+        retransmitted = sum(1 for cid, (s, _pol) in plan.items() if cid in sent and s > new_theta)
     result.leakage_windows.append(
         {
             "window_end_frame": frame_idx,
@@ -740,83 +736,3 @@ def write_session_csvs(result: SessionResult, out_dir: str) -> None:
             w.writerow(["mode", "frame_id", "cube_ix", "cube_iy", "cube_iz", "reason", "time_ms"])
         for frame_id, cid, reason, t in result.failure_log:
             w.writerow([mode, frame_id, cid[0], cid[1], cid[2], reason, t])
-
-
-def _build_config(args, mode: str) -> RunConfig:
-    scene = default_scene(seed=args.scene_seed, frames=args.frames, points=args.points)
-    if args.sensitive_fraction is not None:
-        scene = replace(scene, sensitive_fraction=args.sensitive_fraction)
-    if args.root_key is None:
-        # reproducible provisioning without leaking keys into shell history
-        args.root_key = os.environ.get("PRIVIS_ROOT_KEY")
-    return RunConfig(
-        mode=mode,
-        scene=scene,
-        partition=PartitionConfig(target_cubes=args.target_cubes),
-        saliency=replace(SaliencyConfig(), alpha=args.alpha),
-        policy=replace(PolicyConfig(), theta=args.theta, interval_low=args.rekey_low),
-        shaping=replace(ShapingConfig(), theta=args.theta, rng_seed=args.scene_seed),
-        net=NetConfig(rtt_ms=args.rtt_ms, loss_prob=args.loss, seed=args.scene_seed),
-        leakage=replace(LeakageConfig(), epsilon=args.epsilon),
-        root_key_hex=args.root_key,
-    )
-
-
-def main(argv: list[str] | None = None) -> int:
-    p = argparse.ArgumentParser(
-        prog="privis-bench",
-        description="Run the secure volumetric transport benchmark "
-        "(omit --mode to compare all three configurations).",
-    )
-    p.add_argument("--mode", choices=MODES, default=None)
-    p.add_argument("--scene-seed", type=int, default=7)
-    p.add_argument("--frames", type=int, default=60)
-    p.add_argument("--points", type=int, default=80_000)
-    p.add_argument("--sensitive-fraction", type=float, default=None)
-    p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--theta", type=float, default=0.6)
-    p.add_argument("--epsilon", type=float, default=0.25)
-    p.add_argument("--target-cubes", type=int, default=64)
-    p.add_argument("--rekey-low", type=int, default=6, metavar="N")
-    p.add_argument("--rtt-ms", type=float, default=15.0)
-    p.add_argument("--loss", type=float, default=0.0)
-    p.add_argument("--out", default=None, metavar="DIR")
-    p.add_argument("--root-key", default=None, metavar="HEX")
-    args = p.parse_args(argv)
-
-    if args.mode is not None:
-        cfg = _build_config(args, args.mode)
-        result = run_session(cfg)
-        _print_breakdown({args.mode: result})
-        if args.out:
-            write_session_csvs(result, args.out)
-        return 0
-
-    cfg = _build_config(args, "privis")
-    comparison = compare_modes(cfg)
-    _print_breakdown(comparison.results)
-    print()
-    print(f"privis - noenc : {comparison.privis_minus_noenc:8.3f} ms")
-    print(f"uniform - noenc: {comparison.uniform_minus_noenc:8.3f} ms")
-    if args.out:
-        for result in comparison.results.values():
-            write_session_csvs(result, args.out)
-    try:
-        comparison.require_ordering()
-    except OrderingError as e:
-        print(f"ORDERING VIOLATION: {e}", file=sys.stderr)
-        return 1
-    print("ordering ok: noenc <= privis <= uniform")
-    return 0
-
-
-def _print_breakdown(results: dict[str, SessionResult]) -> None:
-    modes = list(results)
-    print(f"{'component':<22}" + "".join(f"{m:>12}" for m in modes))
-    for stage in (*_STAGES, "total"):
-        vals = "".join(f"{getattr(results[m].mean, stage):12.3f}" for m in modes)
-        print(f"{stage:<22}{vals}")
-
-
-if __name__ == "__main__":
-    sys.exit(main())

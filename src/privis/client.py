@@ -20,7 +20,6 @@ completed by the frame deadline holds over with history and drops without.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 from .errors import AuthFailure, MalformedHeader
@@ -117,38 +116,23 @@ class RenderState:
     def log_failure(self, frame_id: int, cube_id: CubeId, reason: str, time_ms: float) -> None:
         self.failure_log.append((frame_id, cube_id, reason, time_ms))
 
-    def export_failures_csv(self, path) -> None:
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["frame_id", "cube_ix", "cube_iy", "cube_iz", "reason", "time_ms"])
-            for frame_id, cid, reason, t in self.failure_log:
-                w.writerow([frame_id, cid[0], cid[1], cid[2], reason, t])
-
 
 def admit_cube(
     sealed: SealedCube,
     root: RootKey,
     state: RenderState,
     now_ms: float = 0.0,
-    key_cache: dict[tuple[CubeId, int], bytes] | None = None,
 ) -> AdmitOutcome:
     """Verify one reassembled cube and update render state.
 
-    The key is derived from the header's (cube id, epoch); verification
-    failure yields HeldOver when a prior verified version exists, Dropped
-    otherwise, and is always logged. ``key_cache`` avoids re-deriving for
-    epochs already seen (epochs repeat across frames on stable cubes).
+    The key is derived from the header's (cube id, epoch) on every admit,
+    so the client keeps no key state; verification failure yields HeldOver
+    when a prior verified version exists, Dropped otherwise, and is always
+    logged.
     """
     cid = sealed.cube_id
     try:
-        if key_cache is not None:
-            key = key_cache.get((cid, sealed.epoch))
-            if key is None:
-                key = derive_key(root, cid, sealed.epoch)
-                key_cache[(cid, sealed.epoch)] = key
-        else:
-            key = derive_key(root, cid, sealed.epoch)
-        plaintext = open_cube(sealed, key)
+        plaintext = open_cube(sealed, derive_key(root, cid, sealed.epoch))
     except (AuthFailure, MalformedHeader) as e:
         reason = "auth_failure" if isinstance(e, AuthFailure) else "malformed"
         state.log_failure(sealed.frame_id, cid, reason, now_ms)
@@ -221,19 +205,28 @@ class Client:
     guard: ReplayGuard = field(default_factory=ReplayGuard)
     _buffers: dict[tuple[CubeId, int], list[Datagram]] = field(default_factory=dict)
     _newest: dict[CubeId, int] = field(default_factory=dict)  # newest frame buffered per flow
-    _key_cache: dict[tuple[CubeId, int], bytes] = field(default_factory=dict)
 
     def on_datagram(self, dgram: Datagram, arrival_ms: float) -> SealedCube | None:
-        """Feed one datagram; returns the sealed unit when it completes."""
-        unit = self.intake(dgram)
+        """Feed one datagram; returns the sealed unit when it completes.
+        A completed unit that does not parse is logged as malformed and
+        yields None, like an incomplete one."""
+        unit = self.intake(dgram, arrival_ms)
         if unit is None:
             return None
-        # from_bytes validates the declared pad length and discards the pad
-        return SealedCube.from_bytes(unit)
+        try:
+            # from_bytes validates the declared pad length and discards the pad
+            return SealedCube.from_bytes(unit)
+        except MalformedHeader:
+            self.state.log_failure(dgram.frame_id, dgram.flow_id, "malformed", arrival_ms)
+            return None
 
-    def intake(self, dgram: Datagram) -> bytes | None:
+    def intake(self, dgram: Datagram, arrival_ms: float) -> bytes | None:
         """Replay-filter and buffer one datagram; returns the unit's bytes
         once its last fragment is in.
+
+        Fragments whose headers disagree (index beyond the count, counts
+        that differ) cannot form a unit: their buffer is dropped and the
+        failure logged as malformed at ``arrival_ms``.
 
         When a flow opens a buffer for a newer frame than any before, its
         buffers for frames that fell below the replay window are dropped:
@@ -259,14 +252,19 @@ class Client:
         buf.append(dgram)
         if len(buf) < dgram.frag_count:
             return None
-        unit = reassemble(buf)
+        try:
+            unit = reassemble(buf)
+        except MalformedHeader:
+            del self._buffers[key]
+            self.state.log_failure(frame, flow, "malformed", arrival_ms)
+            return None
         if unit is None:
             return None
         del self._buffers[key]
         return unit
 
     def admit(self, sealed: SealedCube, now_ms: float = 0.0) -> AdmitOutcome:
-        return admit_cube(sealed, self.root, self.state, now_ms, key_cache=self._key_cache)
+        return admit_cube(sealed, self.root, self.state, now_ms)
 
     def admit_plain(self, cube_id: CubeId, frame_id: int, plaintext: CubePlaintext) -> Admitted:
         """Admit an unencrypted unit (raw streaming): there is nothing to

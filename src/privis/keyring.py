@@ -10,7 +10,9 @@ the session id as salt and an info string binding the cube id and epoch:
 Both sides derive keys independently from the shared root plus the sealed
 unit's header fields; no key material ever crosses the wire. Rotation
 happens when the policy interval elapses, when cube boundaries change
-(stability lost), or when a cube first appears.
+(stability lost), or when a cube first appears. The key ring keeps one
+record per cube, its current KeyEpoch; the frame that epoch was derived at
+is the only rotation record.
 
 Note on forward secrecy: rotating HKDF outputs from a static root bounds
 key exposure windows but is not a ratchet; compromise of the root reveals
@@ -79,7 +81,7 @@ class KeyEpoch:
     cube_id: CubeId
     epoch: int
     key: bytes  # 32 bytes
-    derived_at_frame: int
+    derived_at_frame: int  # the frame this epoch's key was derived (rotated) at
 
 
 def derive_key(root: RootKey, cube_id: CubeId, epoch: int) -> bytes:
@@ -91,19 +93,14 @@ def derive_key(root: RootKey, cube_id: CubeId, epoch: int) -> bytes:
 
 
 @dataclass
-class _CubeKeyState:
-    epoch: KeyEpoch
-    last_rotation_frame: int
-
-
-@dataclass
 class KeyRing:
-    """Per-session key table. Single logical writer per cube id; readers
-    see the epoch recorded in each sealed header, so there is no torn
-    epoch/key pairing."""
+    """Per-session key table: each cube's current KeyEpoch, whose
+    ``derived_at_frame`` is the cube's rotation record. Single logical
+    writer per cube id; readers see the epoch recorded in each sealed
+    header, so there is no torn epoch/key pairing."""
 
     root: RootKey
-    _table: dict[CubeId, _CubeKeyState] = field(default_factory=dict)
+    _table: dict[CubeId, KeyEpoch] = field(default_factory=dict)
 
     @property
     def session_id(self) -> bytes:
@@ -120,20 +117,15 @@ class KeyRing:
 
         Rotates (epoch + 1, fresh derivation) when the rotation interval
         elapsed, stability was lost, or the cube is new; reuses otherwise.
+        The returned key rotated this frame exactly when its
+        ``derived_at_frame`` equals ``frame_id``.
         """
-        state = self._table.get(cube_id)
-        if state is None:
-            epoch = KeyEpoch(cube_id, 0, derive_key(self.root, cube_id, 0), frame_id)
-            self._table[cube_id] = _CubeKeyState(epoch, frame_id)
-            return epoch
-        due = frame_id - state.last_rotation_frame >= policy.key_rotation_interval
-        if due or not stable:
-            new_epoch = state.epoch.epoch + 1
-            epoch = KeyEpoch(cube_id, new_epoch, derive_key(self.root, cube_id, new_epoch), frame_id)
-            self._table[cube_id] = _CubeKeyState(epoch, frame_id)
-            return epoch
-        return state.epoch
-
-    def rotated_this_frame(self, cube_id: CubeId, frame_id: int) -> bool:
-        state = self._table.get(cube_id)
-        return state is not None and state.last_rotation_frame == frame_id
+        current = self._table.get(cube_id)
+        if current is None:
+            epoch = 0
+        elif stable and frame_id - current.derived_at_frame < policy.key_rotation_interval:
+            return current
+        else:
+            epoch = current.epoch + 1
+        key = self._table[cube_id] = KeyEpoch(cube_id, epoch, derive_key(self.root, cube_id, epoch), frame_id)
+        return key

@@ -14,7 +14,6 @@ plug-in MI estimates through sparse-cell bias.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,12 +24,10 @@ from .netw import TrafficTrace
 __all__ = [
     "LeakageConfig",
     "LeakageReport",
-    "AdaptAction",
     "FEATURE_NAMES",
     "trace_features",
     "estimate_mi",
     "leakage_check_and_adapt",
-    "export_samples_csv",
 ]
 
 FEATURE_NAMES = ("total_bytes", "packet_count", "mean_gap_ms")
@@ -65,14 +62,6 @@ class LeakageReport:
     violated: bool
     per_feature: dict[str, float]
     sample_count: int
-
-
-@dataclass(frozen=True)
-class AdaptAction:
-    """Stage-4 remediation: reshape under the tightened threshold and
-    re-send the cubes whose saliency exceeds it."""
-
-    new_theta: float
 
 
 def trace_features(trace: TrafficTrace) -> tuple[float, float, float]:
@@ -147,37 +136,18 @@ def estimate_mi(
 
 def leakage_check_and_adapt(
     report: LeakageReport, theta: float, cfg: LeakageConfig = LeakageConfig()
-) -> tuple[float, AdaptAction | None]:
+) -> float:
     """Tighten the shaping threshold when the leakage budget is violated.
 
-    Returns (new_theta, action); theta never goes below 0 and never moves
-    when the budget holds.
+    Returns the new theta; it never goes below 0 and never moves when the
+    budget holds.
     """
     if not 0.0 <= theta <= 1.0:
         raise ConfigError("theta must be in [0, 1]")
     if not report.violated:
-        return theta, None
+        return theta
     new_theta = max(0.0, theta - cfg.theta_step)
     if new_theta < 1e-12:  # snap float dust so the floor is exact
         new_theta = 0.0
-    return new_theta, AdaptAction(new_theta=new_theta)
+    return new_theta
 
-
-def export_samples_csv(
-    path,
-    samples: list[tuple[int, tuple[float, float, float]]],
-    report: LeakageReport | None = None,
-) -> None:
-    """Write (class, features) samples and the report for offline analysis."""
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["class", *FEATURE_NAMES])
-        for cls, feats in samples:
-            w.writerow([cls, *feats])
-        if report is not None:
-            w.writerow([])
-            w.writerow(["mi_bits", report.mi_bits])
-            w.writerow(["epsilon", report.epsilon])
-            w.writerow(["violated", int(report.violated)])
-            for name, v in report.per_feature.items():
-                w.writerow([f"mi_{name}", v])

@@ -146,17 +146,16 @@ def _estimate_cost(
 def enforce_budget(
     policies: list[tuple[object, float, ProtectionPolicy]],
     budget: PolicyBudget,
-    cube_bytes: dict | None = None,
     cfg: PolicyConfig = PolicyConfig(),
 ) -> tuple[list[tuple[object, float, ProtectionPolicy]], float, bool]:
     """Downgrade until the estimated cost fits gamma.
 
-    ``policies`` holds (cube, s, policy); ``cube_bytes`` maps cube ->
-    (geometry_bytes, attribute_bytes), defaulting to the cube's point count
-    times the serialization strides. Returns (adjusted, estimated_cost,
-    exhausted) where exhausted means the budget was unattainable even with
-    every cube at LOW; in that case a BudgetExceededWarning is emitted and
-    all cubes are LOW (protection never drops below the floor).
+    ``policies`` holds (cube, s, policy); a cube's (geometry_bytes,
+    attribute_bytes) are its point count times the serialization strides.
+    Returns (adjusted, estimated_cost, exhausted) where exhausted means the
+    budget was unattainable even with every cube at LOW; in that case a
+    BudgetExceededWarning is emitted and all cubes are LOW (protection
+    never drops below the floor).
 
     Downgrades go to the lowest-saliency cube above LOW, one level at a
     time, which preserves the dominance ordering.
@@ -165,8 +164,6 @@ def enforce_budget(
     adjusted = list(policies)
 
     def sizes(cube) -> tuple[int, int]:
-        if cube_bytes is not None and cube in cube_bytes:
-            return cube_bytes[cube]
         n = getattr(cube, "num_points", 0)
         return 12 * n, 4 * n
 

@@ -23,9 +23,10 @@ The cipher is AES-256-GCM. The header is always authenticated as
 associated data; under geometry-only scope the cleartext attributes are
 appended to the associated data, so scope changes confidentiality
 coverage but never integrity coverage. Nonces are deterministic:
-4 bytes of SHA-256 over the packed cube id, then the frame id as u64;
-epoch rotation at frame granularity or finer makes (key, nonce) reuse
-impossible, and a session-level registry enforces that invariant.
+4 bytes of SHA-256 over the packed cube id, then the frame id as u64.
+Keys are per (cube, epoch), so a (key, nonce) pair repeats only when a
+cube seals the same (epoch, frame) twice; the session's NonceRegistry
+enforces that each cube's (epoch, frame) strictly rises.
 
 Saliency metadata (the level byte) rides in the clear; the shaping module
 addresses what an observer can do with traffic patterns, and the residual
@@ -211,17 +212,27 @@ def _aead(key: bytes) -> AESGCM:
 
 
 class NonceRegistry:
-    """Tracks (key, nonce) pairs used in a session; sealing with a repeat
-    is a hard fault. Key material is stored only as a digest."""
+    """Refuses to seal a (key, nonce) pair twice in a session.
+
+    The key is HKDF(cube, epoch) and the nonce is prefix(cube) || frame, so
+    a pair repeats only if a cube's (epoch, frame) does. The registry keeps
+    one high-water mark per cube, the highest (epoch, frame) sealed, and
+    refuses any seal at or below it (the per-key invocation-counter form
+    NIST SP 800-38D section 8 allows); memory is one entry per cube however
+    long the session runs.
+    """
 
     def __init__(self):
-        self._seen: set[bytes] = set()
+        self._marks: dict[CubeId, tuple[int, int]] = {}
 
-    def register(self, key: bytes, nonce: bytes) -> None:
-        token = hashlib.sha256(key).digest()[:16] + nonce
-        if token in self._seen:
-            raise NonceReuseError("nonce reuse detected for this key; refusing to seal")
-        self._seen.add(token)
+    def register(self, key: KeyEpoch, frame_id: int) -> None:
+        mark = (key.epoch, frame_id)
+        prev = self._marks.get(key.cube_id)
+        if prev is not None and mark <= prev:
+            raise NonceReuseError(
+                f"cube {tuple(key.cube_id)}: (epoch, frame) {mark} not above {prev}; refusing to seal"
+            )
+        self._marks[key.cube_id] = mark
 
 
 def serialize_cube(frame: PointCloudFrame, cube: Cube) -> CubePlaintext:
@@ -254,7 +265,7 @@ def seal_cube(
         raise ValidationError("pad_len must be >= 0")
     nonce = nonce_for(key.cube_id, frame_id)
     if registry is not None:
-        registry.register(key.key, nonce)
+        registry.register(key, frame_id)
     if policy.scope is Scope.FULL_PAYLOAD:
         plaintext = plain.geometry + plain.attributes
         plain_attrs = b""

@@ -1,14 +1,15 @@
 """Selective traffic shaping: padding, jitter, and guard-window pacing.
 
-Shaping applies only to flows whose saliency exceeds the threshold theta;
-everything below stays byte- and time-identical to the unshaped pipeline.
-For shaped flows:
+Every function takes the flow's shaping strength sigma from its
+protection policy, which is the saliency score s above the policy's
+threshold theta and 0 at or below it. At sigma = 0 a flow passes through
+byte- and time-identical to the unshaped pipeline. For shaped flows:
 
-    padding: delta ~ uniform{0 .. round(s * pad_max_fraction * len)}, then
-             the padded length rounds up to the next bucket multiple;
-    jitter:  eta ~ uniform[0, s * jitter_max_ms) added to the send time;
+    padding: delta ~ uniform{0 .. round(sigma * pad_max_fraction * len)},
+             then the padded length rounds up to the next bucket multiple;
+    jitter:  eta ~ uniform[0, sigma * jitter_max_ms) added to the send time;
     pacing:  consecutive packets of one flow keep gaps of at least
-             guard_min_ms * s.
+             guard_min_ms * sigma.
 
 Uniform distributions with saliency-scaled support are the maximum-entropy
 choice on a bounded interval; bucketing collapses the residual length
@@ -29,7 +30,6 @@ from .rng import Mcg64, mix64
 
 __all__ = [
     "ShapingConfig",
-    "ShapedPacket",
     "pad_length",
     "jitter_delay",
     "schedule_flow",
@@ -40,7 +40,6 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ShapingConfig:
-    theta: float = 0.6
     pad_max_fraction: float = 0.25
     jitter_max_ms: float = 4.0
     guard_min_ms: float = 2.0
@@ -49,8 +48,6 @@ class ShapingConfig:
     rng_seed: int = 0
 
     def validate(self) -> None:
-        if not 0.0 <= self.theta <= 1.0:
-            raise ConfigError("theta must be in [0, 1]")
         if self.pad_max_fraction < 0 or self.jitter_max_ms < 0 or self.guard_min_ms < 0:
             raise ConfigError("shaping bounds must be >= 0")
         if self.bucket_bytes < 1:
@@ -61,56 +58,43 @@ class ShapingConfig:
             raise ConfigError("jitter_max_ms must not exceed the MTP budget")
 
 
-@dataclass(frozen=True)
-class ShapedPacket:
-    flow_id: CubeId
-    original_len: int
-    padded_len: int
-    send_time: float  # t' in ms
-    jitter_ms: float
-
-    @property
-    def pad_len(self) -> int:
-        return self.padded_len - self.original_len
-
-
 def _bucket_up(length: int, bucket: int) -> int:
     return ((length + bucket - 1) // bucket) * bucket
 
 
-def pad_length(length: int, s: float, cfg: ShapingConfig, rng: Mcg64) -> int:
-    """Padded length for one unit; equals ``length`` at or below theta.
+def pad_length(length: int, sigma: float, cfg: ShapingConfig, rng: Mcg64) -> int:
+    """Padded length for one unit; equals ``length`` at sigma = 0.
 
     Consumes exactly one draw when shaped, none otherwise.
     """
     if length < 0:
         raise ConfigError("length must be >= 0")
-    if s <= cfg.theta:
+    if sigma <= 0.0:
         return length
-    delta_max = round(s * cfg.pad_max_fraction * length)
+    delta_max = round(sigma * cfg.pad_max_fraction * length)
     delta = rng.randint(0, delta_max) if delta_max > 0 else 0
     return _bucket_up(length + delta, cfg.bucket_bytes)
 
 
-def jitter_delay(t: float, s: float, cfg: ShapingConfig, rng: Mcg64) -> float:
-    """Jittered send time; identity at or below theta. One draw when shaped."""
+def jitter_delay(t: float, sigma: float, cfg: ShapingConfig, rng: Mcg64) -> float:
+    """Jittered send time; identity at sigma = 0. One draw when shaped."""
     if t < 0:
         raise ConfigError("send time must be >= 0")
-    if s <= cfg.theta:
+    if sigma <= 0.0:
         return t
-    return t + rng.uniform(0.0, s * cfg.jitter_max_ms)
+    return t + rng.uniform(0.0, sigma * cfg.jitter_max_ms)
 
 
-def schedule_flow(times: list[float], s: float, cfg: ShapingConfig) -> list[float]:
-    """Enforce minimum gaps guard_min_ms * s within one flow's schedule.
+def schedule_flow(times: list[float], sigma: float, cfg: ShapingConfig) -> list[float]:
+    """Enforce minimum gaps guard_min_ms * sigma within one flow's schedule.
 
-    Input times must be non-decreasing; flows at or below theta pass
-    through untouched. The sweep only pushes packets later, preserving
-    intra-flow order.
+    Input times must be non-decreasing; flows at sigma = 0 pass through
+    untouched. The sweep only pushes packets later, preserving intra-flow
+    order.
     """
-    if s <= cfg.theta or len(times) <= 1:
+    if sigma <= 0.0 or len(times) <= 1:
         return list(times)
-    tau = cfg.guard_min_ms * s
+    tau = cfg.guard_min_ms * sigma
     out = [times[0]]
     for t in times[1:]:
         out.append(max(t, out[-1] + tau))
@@ -129,7 +113,7 @@ def flow_rng(cfg: ShapingConfig, flow_id: CubeId, frame_id: int) -> Mcg64:
 
 
 def shape_times(
-    times: list[float], s: float, cfg: ShapingConfig, rng: Mcg64
+    times: list[float], sigma: float, cfg: ShapingConfig, rng: Mcg64
 ) -> tuple[list[float], list[float]]:
     """Jitter each packet then enforce guard gaps; returns (times, jitters).
 
@@ -138,7 +122,7 @@ def shape_times(
     time, the displacement is capped there and the pacing gap compresses.
     Masking bursts is best-effort inside the latency budget, never beyond.
     """
-    jittered = [jitter_delay(t, s, cfg, rng) for t in times]
-    shaped = schedule_flow(jittered, s, cfg)
+    jittered = [jitter_delay(t, sigma, cfg, rng) for t in times]
+    shaped = schedule_flow(jittered, sigma, cfg)
     shaped = [min(t_new, t_orig + cfg.mtp_budget_ms) for t_new, t_orig in zip(shaped, times)]
     return shaped, [j - t for j, t in zip(jittered, times)]

@@ -10,10 +10,10 @@ from privis.bench import (
     compare_modes,
     default_scene,
     leakage_scene,
-    main,
     run_session,
     write_session_csvs,
 )
+from privis.__main__ import main
 from privis.errors import ConfigError
 from privis.frame_io import SceneSpec
 from privis.netw import NetConfig
@@ -153,7 +153,7 @@ def test_cli_comparison_exit_codes(capsys, monkeypatch, tmp_path):
     """Exit-code mechanics of the comparison path, decoupled from timing
     noise (the real ordering is gated by the acceptance suite on the full
     default scene, where it is statistically stable)."""
-    import privis.bench as bench_mod
+    import privis.__main__ as cli
 
     real = compare_modes(replace(small_cfg(), scene=replace(SMALL, frame_count=4)))
 
@@ -165,12 +165,12 @@ def test_cli_comparison_exit_codes(capsys, monkeypatch, tmp_path):
         real.ordering_ok = False
         return real
 
-    monkeypatch.setattr(bench_mod, "compare_modes", fake_ok)
+    monkeypatch.setattr(cli, "compare_modes", fake_ok)
     rc = main(["--frames", "4", "--points", "5000", "--out", str(tmp_path / "a")])
     assert rc == 0
     assert "ordering ok" in capsys.readouterr().out
 
-    monkeypatch.setattr(bench_mod, "compare_modes", fake_bad)
+    monkeypatch.setattr(cli, "compare_modes", fake_bad)
     rc = main(["--frames", "4", "--points", "5000"])
     captured = capsys.readouterr()
     assert rc == 1

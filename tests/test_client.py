@@ -14,7 +14,7 @@ from privis.client import (
     replay_filter,
 )
 from privis.keyring import KeyEpoch, RootKey, derive_key
-from privis.netw import packetize
+from privis.netw import Datagram, packetize
 from privis.partition import CubeId
 from privis.policy import ProtectionLevel, ProtectionPolicy, Scope
 from privis.rng import Mcg64
@@ -228,17 +228,6 @@ def test_failure_log_is_append_only_and_time_monotone():
     assert len(times) == 3
 
 
-def test_failures_csv_export(tmp_path):
-    state = RenderState()
-    cube = CubeId(7, 7, 7)
-    bad, _ = sealed_unit(cube, frame=0)
-    admit_cube(tampered(bad), ROOT, state, now_ms=1.5)
-    path = tmp_path / "failures.csv"
-    state.export_failures_csv(path)
-    text = path.read_text()
-    assert "auth_failure" in text and "7,7,7" in text
-
-
 # --- full client over datagrams ---
 
 
@@ -326,3 +315,27 @@ def test_client_completes_late_fragments_inside_replay_window():
     assert client.on_datagram(last[0], 0.0) is None
     for frame in range(1, REPLAY_WINDOW_FRAMES + 2):
         assert client.on_datagram(last[frame], 0.0) is not None
+
+
+def test_malformed_datagrams_logged_and_dropped_not_raised():
+    """Fragment headers and unit bytes are unauthenticated network input:
+    a fragment index beyond its count, or a completed unit that does not
+    parse, is logged as malformed for its frame, flow and arrival time and
+    yields nothing; the flow's next honest unit still completes."""
+    client = Client(ROOT)
+    flow = CubeId(1, 2, 3)
+    # frag_index >= frag_count: the buffer can never form a unit
+    assert client.on_datagram(Datagram(flow, 0, 5, 1, b"x"), 2.5) is None
+    assert (flow, 0) not in client._buffers
+    # one complete fragment whose bytes are not a sealed unit
+    assert client.on_datagram(Datagram(flow, 1, 0, 1, b"not a sealed unit"), 3.5) is None
+    assert client.state.failure_log == [(0, flow, "malformed", 2.5), (1, flow, "malformed", 3.5)]
+    # the same guard covers the plain-unit path, which reassembles through intake
+    assert client.intake(Datagram(flow, 2, 3, 2, b"x"), 4.5) is None
+    assert client.intake(Datagram(flow, 2, 0, 2, b"x"), 4.6) is None
+    assert client.state.failure_log[-1] == (2, flow, "malformed", 4.6)
+    assert not client._buffers
+    sealed, plain = sealed_unit(flow, frame=3)
+    (dgram,) = packetize(sealed.to_bytes(), flow, 3)
+    got = client.on_datagram(dgram, 5.0)
+    assert got is not None and client.admit(got).plaintext == plain

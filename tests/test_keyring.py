@@ -97,6 +97,36 @@ def test_instability_forces_rotation():
     assert e1.epoch == e0.epoch + 1
 
 
+def test_derived_at_frame_marks_exactly_the_rotations():
+    """derived_at_frame == frame_id exactly when the cube is new, its
+    interval has elapsed since its last rotation, or stability is lost,
+    checked against that rule over a random schedule in which cubes skip
+    frames and change level."""
+    ring = KeyRing(RootKey.from_hex("88" * 32))
+    rng = Mcg64(41)
+    last_rotation: dict[CubeId, int] = {}
+    epochs: dict[CubeId, int] = {}
+    rotations = 0
+    for frame in range(300):
+        stable = rng.next_uniform() >= 0.05
+        for k in range(4):
+            if rng.next_uniform() < 0.3:
+                continue  # cube absent this frame
+            cube = CubeId(k, 0, 0)
+            pol = (HIGH, MED, LOW)[rng.randint(0, 2)]
+            key = ring.key_for_frame(cube, frame, pol, stable)
+            prev = last_rotation.get(cube)
+            expected = prev is None or not stable or frame - prev >= pol.key_rotation_interval
+            assert (key.derived_at_frame == frame) == expected
+            if expected:
+                last_rotation[cube] = frame
+                epochs[cube] = epochs.get(cube, -1) + 1
+                rotations += 1
+            assert key.epoch == epochs[cube]
+            assert key.key == derive_key(ring.root, cube, key.epoch)
+    assert 0 < rotations < 4 * 300
+
+
 def test_reused_epoch_returns_identical_key_object_fields():
     ring = KeyRing(RootKey.from_hex("55" * 32))
     cube = CubeId(0, 0, 1)

@@ -6,7 +6,6 @@ import pytest
 from privis.errors import ConfigError, InsufficientData
 from privis.leakage import (
     FEATURE_NAMES,
-    AdaptAction,
     LeakageConfig,
     LeakageReport,
     estimate_mi,
@@ -133,15 +132,14 @@ def test_class_range_enforced():
 
 def test_adapt_within_budget_keeps_theta():
     report = LeakageReport(0.1, 0.5, False, {}, 10)
-    theta, action = leakage_check_and_adapt(report, 0.6, LeakageConfig(epsilon=0.5))
-    assert theta == 0.6 and action is None
+    theta = leakage_check_and_adapt(report, 0.6, LeakageConfig(epsilon=0.5))
+    assert theta == 0.6
 
 
 def test_adapt_one_step_rule():
     report = LeakageReport(0.9, 0.5, True, {}, 10)
-    theta, action = leakage_check_and_adapt(report, 0.6, LeakageConfig(epsilon=0.5, theta_step=0.1))
-    assert theta == pytest.approx(0.5)
-    assert isinstance(action, AdaptAction) and action.new_theta == pytest.approx(0.5)
+    theta = leakage_check_and_adapt(report, 0.6, LeakageConfig(epsilon=0.5, theta_step=0.1))
+    assert isinstance(theta, float) and theta == pytest.approx(0.5)
 
 
 def test_adapt_floors_at_zero():
@@ -149,7 +147,7 @@ def test_adapt_floors_at_zero():
     theta = 0.2
     for _ in range(5):
         report = LeakageReport(0.9, cfg.epsilon, True, {}, 10)
-        theta, _action = leakage_check_and_adapt(report, theta, cfg)
+        theta = leakage_check_and_adapt(report, theta, cfg)
     assert theta == 0.0
 
 
@@ -160,18 +158,7 @@ def test_theta_never_increases():
     for _ in range(40):
         mi = rng.uniform(0, 1)
         report = LeakageReport(mi, cfg.epsilon, mi > cfg.epsilon, {}, 10)
-        new_theta, _ = leakage_check_and_adapt(report, theta, cfg)
+        new_theta = leakage_check_and_adapt(report, theta, cfg)
         assert new_theta <= theta
         theta = new_theta
 
-
-def test_samples_csv_export(tmp_path):
-    from privis.leakage import export_samples_csv
-
-    samples = [(0, (10.0, 1.0, 0.0)), (1, (20.0, 2.0, 1.0))]
-    report = estimate_mi(samples, LeakageConfig(saliency_classes=2))
-    path = tmp_path / "mi.csv"
-    export_samples_csv(path, samples, report)
-    text = path.read_text()
-    assert "class,total_bytes,packet_count,mean_gap_ms" in text
-    assert "mi_bits" in text

@@ -197,6 +197,8 @@ def test_policy_config_validation():
         PolicyConfig(t_low=0.7, t_high=0.6).validate()
     with pytest.raises(ConfigError):
         PolicyConfig(interval_high=4, interval_med=2, interval_low=6).validate()
+    with pytest.raises(ConfigError):
+        PolicyConfig(theta=1.5).validate()
     PolicyConfig().validate()
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from privis.errors import AuthFailure, MalformedHeader, NonceReuseError
-from privis.keyring import KeyEpoch, RootKey, derive_key
+from privis.keyring import KeyEpoch, KeyRing, RootKey, derive_key
 from privis.partition import CubeId, partition_frame
 from privis.policy import ProtectionLevel, ProtectionPolicy, Scope
 from privis.rng import Mcg64
@@ -188,6 +188,40 @@ def test_nonce_uniqueness_over_session_schedule():
         for frame in range(50):
             epoch = frame // 6
             seal_cube(plain, key_for(cube, epoch=epoch), GEOM, frame, ROOT.session_id, registry=registry)
+
+
+def test_nonce_registry_mark_per_cube():
+    """The mark is the highest (epoch, frame) sealed per cube: an equal or
+    lower pair is refused, a new epoch at the same frame is not, and other
+    cubes are unaffected."""
+    registry = NonceRegistry()
+    cube, other = CubeId(4, 0, 0), CubeId(4, 0, 1)
+    registry.register(key_for(cube, epoch=1), 5)
+    for epoch, frame in ((1, 5), (1, 4), (0, 9)):
+        with pytest.raises(NonceReuseError):
+            registry.register(key_for(cube, epoch=epoch), frame)
+    registry.register(key_for(other, epoch=0), 0)
+    registry.register(key_for(cube, epoch=2), 5)
+    registry.register(key_for(cube, epoch=2), 6)
+
+
+def test_nonce_registry_bounded_over_key_schedule():
+    """1,000 frames of a session's key schedule (HIGH, MED, LOW cubes,
+    stability lost every 50 frames) seal without a refusal and leave one
+    mark per cube."""
+    ring = KeyRing(ROOT)
+    registry = NonceRegistry()
+    plain = CubePlaintext(bytes(12), bytes(4))
+    cubes = {
+        CubeId(0, 0, 0): FULL,
+        CubeId(0, 0, 1): ProtectionPolicy(ProtectionLevel.MED, 3, Scope.FULL_PAYLOAD, 0.0),
+        CubeId(0, 0, 2): GEOM,
+    }
+    for frame in range(1000):
+        for cube, pol in cubes.items():
+            key = ring.key_for_frame(cube, frame, pol, stable=frame % 50 != 0)
+            seal_cube(plain, key, pol, frame, ROOT.session_id, registry=registry)
+    assert len(registry._marks) == len(cubes)
 
 
 def test_serialize_cube_matches_frame_slices(small_frames):

@@ -2,6 +2,7 @@ import pytest
 
 from privis.errors import ConfigError
 from privis.partition import CubeId
+from privis.policy import PolicyConfig, assign_policy
 from privis.rng import Mcg64
 from privis.shaping import (
     ShapingConfig,
@@ -20,16 +21,17 @@ def test_config_validation():
         ShapingConfig(jitter_max_ms=25.0, mtp_budget_ms=20.0).validate()
     with pytest.raises(ConfigError):
         ShapingConfig(bucket_bytes=0).validate()
-    with pytest.raises(ConfigError):
-        ShapingConfig(theta=1.5).validate()
     ShapingConfig().validate()
 
 
 def test_no_padding_at_or_below_theta():
+    """At or below the policy's theta, sigma is 0 and the unit passes
+    through without consuming a draw."""
     rng = Mcg64(1)
-    for s in (0.0, 0.3, CFG.theta):
-        assert pad_length(1000, s, CFG, rng) == 1000
-    # no draws were consumed below theta
+    for s in (0.0, 0.3, PolicyConfig().theta):
+        sigma = assign_policy(s).shaping_strength
+        assert sigma == 0.0
+        assert pad_length(1000, sigma, CFG, rng) == 1000
     assert rng.state == Mcg64(1).state
 
 
@@ -63,7 +65,8 @@ def test_padded_length_upper_bound():
 
 def test_jitter_gate_and_bound():
     rng = Mcg64(11)
-    assert jitter_delay(5.0, 0.5, CFG, rng) == 5.0
+    assert jitter_delay(5.0, 0.0, CFG, rng) == 5.0
+    assert rng.state == Mcg64(11).state
     for _ in range(200):
         t = jitter_delay(5.0, 1.0, CFG, rng)
         assert 5.0 <= t <= 5.0 + CFG.jitter_max_ms
@@ -92,7 +95,8 @@ def test_schedule_burst_pairwise_gaps():
 
 def test_schedule_below_theta_untouched():
     times = [0.0, 0.1, 0.2]
-    assert schedule_flow(times, 0.5, CFG) == times
+    assert schedule_flow(times, 0.0, CFG) == times
+    assert shape_times(times, 0.0, CFG, Mcg64(5)) == (times, [0.0, 0.0, 0.0])
 
 
 def test_schedule_preserves_wide_gaps():
@@ -126,9 +130,3 @@ def test_shaped_trace_determinism():
 
     assert run() == run()
 
-
-def test_shaped_packet_record_fields():
-    from privis.shaping import ShapedPacket
-
-    p = ShapedPacket(CubeId(0, 0, 0), original_len=100, padded_len=256, send_time=4.5, jitter_ms=1.5)
-    assert p.pad_len == 156
