@@ -153,17 +153,9 @@ class RunConfig:
     content_digests: bool = False
     keep_units: bool = False  # retain sealed unit bytes for offline checks
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}")
-        self.scene.validate()
-        self.partition.validate()
-        self.saliency.validate()
-        self.policy.validate()
-        self.budget.validate()
-        self.shaping.validate()
-        self.net.validate()
-        self.leakage.validate()
         if self.frame_timeout_ms <= 0:
             raise ConfigError("frame_timeout_ms must be positive")
 
@@ -273,9 +265,8 @@ def _changed_cube_ids(cubes: CubeSet, changed: np.ndarray | None) -> set[CubeId]
 
 
 def _policy_assigner(pol_cfg: PolicyConfig):
-    """assign_policy with per-frame validation hoisted and the sigma = 0
-    policies shared (they are frozen, so sharing is safe)."""
-    pol_cfg.validate()
+    """assign_policy with the sigma = 0 policies shared (they are frozen,
+    so sharing is safe)."""
     cache: dict[ProtectionLevel, ProtectionPolicy] = {}
 
     def assign(s: float) -> ProtectionPolicy:
@@ -345,11 +336,16 @@ class _PlainCodec:
         return plain.num_points.to_bytes(4, "little") + plain.geometry + plain.attributes
 
     def receive(self, client, dgram, arrival):
+        """A completed unit whose length is not exactly its point count's
+        is logged as malformed and yields None, as on the sealed path."""
         unit = client.intake(dgram, arrival)
         if unit is None:
             return None
         n = int.from_bytes(unit[:4], "little")
-        plain = CubePlaintext(unit[4 : 4 + 12 * n], unit[4 + 12 * n : 4 + 16 * n])
+        if len(unit) != 4 + 16 * n:
+            client.state.log_failure(dgram.frame_id, dgram.flow_id, "malformed", arrival)
+            return None
+        plain = CubePlaintext(unit[4 : 4 + 12 * n], unit[4 + 12 * n :])
         return dgram.flow_id, dgram.frame_id, plain
 
     def admit(self, client, item, arrival) -> Admitted:
@@ -393,7 +389,6 @@ class Session:
     """
 
     def __init__(self, cfg: RunConfig):
-        cfg.validate()
         self.cfg = cfg
         if cfg.root_key_hex is not None:
             self.root = RootKey.from_hex(cfg.root_key_hex)

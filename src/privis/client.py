@@ -204,7 +204,6 @@ class Client:
     state: RenderState = field(default_factory=RenderState)
     guard: ReplayGuard = field(default_factory=ReplayGuard)
     _buffers: dict[tuple[CubeId, int], list[Datagram]] = field(default_factory=dict)
-    _newest: dict[CubeId, int] = field(default_factory=dict)  # newest frame buffered per flow
 
     def on_datagram(self, dgram: Datagram, arrival_ms: float) -> SealedCube | None:
         """Feed one datagram; returns the sealed unit when it completes.
@@ -235,20 +234,21 @@ class Client:
         REPLAY_WINDOW_FRAMES + 1 buffers.
         """
         flow, frame = dgram.flow_id, dgram.frame_id
+        # every accepted datagram opens or extends a buffer, so the mark's
+        # frame, read before the filter advances it, is the newest buffered
+        mark = self.guard.marks.get(flow)
         if not replay_filter(self.guard, flow, frame, dgram.frag_index):
             return None
         key = (flow, frame)
         buf = self._buffers.get(key)
         if buf is None:
             buf = self._buffers[key] = []
-            newest = self._newest.get(flow)
-            if newest is None or frame > newest:
-                self._newest[flow] = frame
-                if newest is not None:
-                    # the flow's buffers lie in [newest - window, newest]
-                    stale = range(newest - REPLAY_WINDOW_FRAMES, min(frame - REPLAY_WINDOW_FRAMES, newest + 1))
-                    for old in stale:
-                        self._buffers.pop((flow, old), None)
+            if mark is not None and frame > mark[0]:
+                # the flow's buffers lie in [newest - window, newest]
+                newest = mark[0]
+                stale = range(newest - REPLAY_WINDOW_FRAMES, min(frame - REPLAY_WINDOW_FRAMES, newest + 1))
+                for old in stale:
+                    self._buffers.pop((flow, old), None)
         buf.append(dgram)
         if len(buf) < dgram.frag_count:
             return None

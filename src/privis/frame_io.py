@@ -86,7 +86,7 @@ class SceneSpec:
     sensitive_fraction: float
     motion_amplitude: float  # meters per frame, cluster centroid step length
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.frame_count < 1:
             raise ValidationError("frame_count must be >= 1")
         if self.points_per_frame < 0:
@@ -270,7 +270,6 @@ def _ramp_budgets(total: int, n: int, lo_frac: float, hi_frac: float) -> list[in
 def _static_layout(spec: SceneSpec):
     """Everything frame-independent: background points, cluster base shape,
     colors, labels. Cached because frames only translate the cluster."""
-    spec.validate()
     total = spec.points_per_frame
     sens_total = round(spec.sensitive_fraction * total)
     bg_total = total - sens_total

@@ -42,7 +42,7 @@ class LeakageConfig:
     saliency_classes: int = 3
     window_frames: int = 30  # MI needs sample mass; adapt per window
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.epsilon < 0:
             raise ConfigError("epsilon must be >= 0")
         if self.theta_step <= 0:
@@ -108,7 +108,6 @@ def estimate_mi(
     ``samples`` holds (class_index, feature_vector) pairs, one per
     observed flow-frame. Classes must lie in [0, saliency_classes).
     """
-    cfg.validate()
     if len(samples) < 2:
         raise InsufficientData(f"MI estimation needs >= 2 samples, got {len(samples)}")
     classes = np.array([c for c, _f in samples], dtype=np.int64)

@@ -36,7 +36,6 @@ __all__ = [
     "packetize",
     "reassemble",
     "transmit",
-    "flow_isolation_check",
     "FRAG_HEADER_LEN",
 ]
 
@@ -52,7 +51,7 @@ class NetConfig:
     mtu: int = 1200
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.rtt_ms < 0:
             raise ConfigError("rtt_ms must be >= 0")
         # 1.0 is allowed so a total-loss channel remains expressible
@@ -147,7 +146,6 @@ def transmit(
     come back sorted by arrival; traces capture every datagram as sent,
     per flow, ordered by send time, independent of loss.
     """
-    cfg.validate()
     by_flow: dict[CubeId, list[tuple[Datagram, float]]] = {}
     for dgram, t in sendlist:
         by_flow.setdefault(dgram.flow_id, []).append((dgram, t))
@@ -176,37 +174,3 @@ def transmit(
         delivered.extend(survivors)
     delivered.sort(key=lambda p: p[1])
     return delivered, traces
-
-
-def flow_isolation_check(
-    sendlist: list[tuple[Datagram, float]],
-    cfg: NetConfig = NetConfig(),
-) -> dict:
-    """Verify per-flow delivery independence.
-
-    Re-runs the channel on each flow in isolation and checks that the
-    delivered set matches the joint run exactly; loss in one flow must
-    never remove datagrams of another.
-    """
-    joint_delivered, traces = transmit(sendlist, cfg)
-
-    def key(d: Datagram) -> tuple:
-        return (d.flow_id, d.frame_id, d.frag_index)
-
-    joint_by_flow: dict[CubeId, set] = {f: set() for f in traces}
-    for d, _t in joint_delivered:
-        joint_by_flow.setdefault(d.flow_id, set()).add(key(d))
-
-    report = {"flows": {}, "isolated": True}
-    for flow_id in traces:
-        solo = [(d, t) for d, t in sendlist if d.flow_id == flow_id]
-        solo_delivered, _ = transmit(solo, cfg)
-        solo_set = {key(d) for d, _t in solo_delivered}
-        match = solo_set == joint_by_flow.get(flow_id, set())
-        report["flows"][flow_id] = {
-            "sent": len(solo),
-            "delivered": len(solo_set),
-            "matches_joint": match,
-        }
-        report["isolated"] &= match
-    return report

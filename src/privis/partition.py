@@ -101,7 +101,7 @@ class PartitionConfig:
     target_cubes: int = 64
     change_threshold: float = 0.2
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.target_cubes < 1:
             raise ValidationError("target_cubes must be >= 1")
         if not 0.0 <= self.change_threshold <= 1.0:
@@ -328,7 +328,6 @@ def reuse_or_repartition(
     entered are grouped again; the others are ``prev``'s Cube objects. The
     result is the same CubeSet as without the mask, to the bit.
     """
-    cfg.validate()
     n = frame.num_points
     if n == 0:
         return CubeSet(frame.frame_id, [], prev.boundary_epoch, prev.grid_edge, prev.grid_origin)

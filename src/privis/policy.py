@@ -10,7 +10,6 @@ until the estimated per-frame protection cost fits the budget.
 from __future__ import annotations
 
 import enum
-import time
 import warnings
 from dataclasses import dataclass, replace
 
@@ -26,7 +25,6 @@ __all__ = [
     "protection_level",
     "assign_policy",
     "enforce_budget",
-    "calibrate_cost_model",
 ]
 
 
@@ -67,7 +65,7 @@ class PolicyConfig:
     interval_med: int = 3
     interval_low: int = 6
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not 0.0 <= self.t_low < self.t_high <= 1.0:
             raise ConfigError("thresholds must satisfy 0 <= t_low < t_high <= 1")
         if not 0.0 <= self.theta <= 1.0:
@@ -90,7 +88,7 @@ class PolicyBudget:
     gamma_ms: float = 50.0  # per-frame protection cost budget
     cost_model: CostModel = CostModel()
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.gamma_ms <= 0:
             raise ConfigError("gamma_ms must be positive")
 
@@ -119,7 +117,6 @@ def assign_policy(s: float, cfg: PolicyConfig = PolicyConfig()) -> ProtectionPol
     """Map a saliency score to its protection tuple."""
     if not 0.0 <= s <= 1.0:
         raise ValidationError(f"saliency {s} outside [0, 1]")
-    cfg.validate()
     level = protection_level(s, (cfg.t_low, cfg.t_high))
     interval, scope = _level_tuple(level, cfg)
     sigma = s if s > cfg.theta else 0.0
@@ -160,7 +157,6 @@ def enforce_budget(
     Downgrades go to the lowest-saliency cube above LOW, one level at a
     time, which preserves the dominance ordering.
     """
-    budget.validate()
     adjusted = list(policies)
 
     def sizes(cube) -> tuple[int, int]:
@@ -189,26 +185,3 @@ def enforce_budget(
         adjusted[idx] = (cube, s, replace(pol, level=new_level, key_rotation_interval=interval, scope=scope))
         cost = _estimate_cost(entries(), budget.cost_model)
     return adjusted, cost, False
-
-
-def calibrate_cost_model(sample_bytes: int = 65536) -> CostModel:
-    """Measure one AEAD call and one key derivation to fit the linear model.
-
-    Optional: the static defaults keep tests deterministic; the benchmark
-    may calibrate at startup for realistic budget accounting.
-    """
-    from cryptography.hazmat.primitives.ciphers.aead import AESGCM
-
-    from .keyring import hkdf_sha256
-
-    key = bytes(32)
-    aead = AESGCM(key)
-    nonce = bytes(12)
-    payload = bytes(sample_bytes)
-    t0 = time.perf_counter()
-    aead.encrypt(nonce, payload, b"")
-    per_byte_ms = (time.perf_counter() - t0) * 1e3 / sample_bytes
-    t0 = time.perf_counter()
-    hkdf_sha256(key, bytes(16), b"privis/calibrate")
-    per_rekey_ms = (time.perf_counter() - t0) * 1e3
-    return CostModel(per_byte_ms=per_byte_ms, per_rekey_ms=per_rekey_ms)

@@ -45,7 +45,7 @@ class SaliencyConfig:
     motion_scale: float = 0.5  # meters of per-frame displacement mapping to motion=1
     proximity_scale: float = 1.0  # meters; softness of both proximity cues
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not 0.0 <= self.alpha <= 1.0:
             raise ValidationError("alpha must be in [0, 1]")
         for name in ("w_density", "w_motion", "w_view", "w_identity", "w_user"):
@@ -149,7 +149,6 @@ def score_cubes(
     with the same id: content that moved across a cell boundary would
     otherwise lose its motion history exactly when it matters.
     """
-    cfg.validate()
     if not cubes.cubes:
         return []
     counts = np.array([c.num_points for c in cubes.cubes])

@@ -95,6 +95,25 @@ class CubePlaintext:
         return len(self.geometry) // _GEOMETRY_STRIDE
 
 
+def _pack_header(
+    session_id: bytes,
+    frame_id: int,
+    cube_id: CubeId,
+    epoch: int,
+    level: int,
+    scope: Scope,
+    plain_attr_len: int,
+    cipher_len: int,
+    pad_len: int,
+) -> bytes:
+    """The 62-byte unit header; it is the start of the AEAD's associated
+    data, so sealing and opening must pack it the same way."""
+    return _HEADER.pack(
+        MAGIC, session_id, frame_id, *cube_id, epoch, int(level), int(scope),
+        plain_attr_len, cipher_len, pad_len,
+    )
+
+
 @dataclass(frozen=True)
 class SealedCube:
     session_id: bytes
@@ -110,19 +129,9 @@ class SealedCube:
     pad_len: int = 0
 
     def header_bytes(self) -> bytes:
-        return _HEADER.pack(
-            MAGIC,
-            self.session_id,
-            self.frame_id,
-            self.cube_id[0],
-            self.cube_id[1],
-            self.cube_id[2],
-            self.epoch,
-            self.level,
-            int(self.scope),
-            len(self.plain_attributes),
-            len(self.ciphertext),
-            self.pad_len,
+        return _pack_header(
+            self.session_id, self.frame_id, self.cube_id, self.epoch, self.level, self.scope,
+            len(self.plain_attributes), len(self.ciphertext), self.pad_len,
         )
 
     def to_bytes(self) -> bytes:
@@ -272,19 +281,10 @@ def seal_cube(
     else:
         plaintext = plain.geometry
         plain_attrs = plain.attributes
-    header = _HEADER.pack(
-        MAGIC,
-        session_id,
-        frame_id,
-        key.cube_id[0],
-        key.cube_id[1],
-        key.cube_id[2],
-        key.epoch,
-        int(policy.level),
-        int(policy.scope),
-        len(plain_attrs),
-        len(plaintext),
-        pad_len,
+    # GCM ciphertext is as long as its plaintext
+    header = _pack_header(
+        session_id, frame_id, key.cube_id, key.epoch, policy.level, policy.scope,
+        len(plain_attrs), len(plaintext), pad_len,
     )
     aad = header + plain_attrs
     out = _aead(key.key).encrypt(nonce, plaintext, aad)

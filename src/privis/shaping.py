@@ -47,7 +47,7 @@ class ShapingConfig:
     mtp_budget_ms: float = 20.0
     rng_seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.pad_max_fraction < 0 or self.jitter_max_ms < 0 or self.guard_min_ms < 0:
             raise ConfigError("shaping bounds must be >= 0")
         if self.bucket_bytes < 1:

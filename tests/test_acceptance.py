@@ -123,7 +123,8 @@ def test_criterion_4_aead_correctness():
     import json
     import os
 
-    golden = json.load(open(os.path.join(os.path.dirname(__file__), "golden", "vectors.json")))
+    with open(os.path.join(os.path.dirname(__file__), "golden", "vectors.json")) as f:
+        golden = json.load(f)
     root = RootKey.from_hex(ROOT_HEX)
     cube = CubeId(2, 3, 4)
     rng = Mcg64(2024)

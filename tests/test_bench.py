@@ -7,6 +7,7 @@ import pytest
 from privis.bench import (
     MODES,
     RunConfig,
+    _PlainCodec,
     compare_modes,
     default_scene,
     leakage_scene,
@@ -14,9 +15,13 @@ from privis.bench import (
     write_session_csvs,
 )
 from privis.__main__ import main
+from privis.client import Client
 from privis.errors import ConfigError
 from privis.frame_io import SceneSpec
-from privis.netw import NetConfig
+from privis.keyring import RootKey
+from privis.netw import Datagram, NetConfig
+from privis.partition import CubeId
+from privis.seal import CubePlaintext
 from privis.shaping import ShapingConfig
 
 SMALL = SceneSpec(seed=7, frame_count=8, points_per_frame=8000, sensitive_fraction=0.2, motion_amplitude=0.1)
@@ -107,6 +112,22 @@ def test_noenc_never_seals_or_opens():
     assert all(row["decryption_ms"] == 0.0 for row in r.frame_rows)
 
 
+def test_plain_units_that_do_not_parse_are_logged_and_dropped():
+    """A plain unit is a u32 point count and 16 bytes per point, exactly:
+    a short unit, a 1-byte unit and one with trailing bytes are each logged
+    as malformed at the datagram's frame, flow and arrival time and yield
+    nothing; the flow's next well-formed unit still comes out."""
+    codec, client = _PlainCodec(), Client(RootKey.from_hex(ROOT_HEX))
+    flow = CubeId(1, 2, 3)
+    bad = [(2).to_bytes(4, "little") + bytes(12), b"\x01", (1).to_bytes(4, "little") + bytes(40)]
+    for frame, unit in enumerate(bad):
+        assert codec.receive(client, Datagram(flow, frame, 0, 1, unit), 1.5 + frame) is None
+    assert client.state.failure_log == [(f, flow, "malformed", 1.5 + f) for f in range(len(bad))]
+    good = (1).to_bytes(4, "little") + bytes(range(16))
+    got = codec.receive(client, Datagram(flow, 3, 0, 1, good), 5.0)
+    assert got == (flow, 3, CubePlaintext(bytes(range(12)), bytes(range(12, 16))))
+
+
 def test_privis_refresh_skips_static_low_cubes():
     r = run_session(small_cfg("privis"))
     # between rotation boundaries only the moving cluster is re-sent
@@ -120,13 +141,18 @@ def test_csv_outputs(tmp_path):
     out = str(tmp_path / "out")
     r = run_session(small_cfg("privis", leakage=replace(small_cfg().leakage, window_frames=4)))
     write_session_csvs(r, out)
-    frames = list(csv.DictReader(open(os.path.join(out, "frames.csv"))))
+
+    def rows(name, reader=csv.DictReader):
+        with open(os.path.join(out, name), newline="") as f:
+            return list(reader(f))
+
+    frames = rows("frames.csv")
     assert len(frames) == SMALL.frame_count
     assert set(NON_TIMING) <= set(frames[0].keys())
-    summary = list(csv.reader(open(os.path.join(out, "summary.csv"))))
+    summary = rows("summary.csv", csv.reader)
     assert summary[0][0] == "mode"
     assert summary[1][0] == "privis"
-    leak = list(csv.DictReader(open(os.path.join(out, "leakage.csv"))))
+    leak = rows("leakage.csv")
     assert len(leak) == 2  # two 4-frame windows closed in 8 frames
     assert os.path.exists(os.path.join(out, "failures.csv"))
 
@@ -192,8 +218,6 @@ def test_default_and_leakage_scene_shapes():
     assert d.frame_count == 60
     lk = leakage_scene()
     assert lk.motion_amplitude == 0.0
-    lk.validate()
-    d.validate()
 
 
 def test_require_ordering_raises_with_diagnostics():

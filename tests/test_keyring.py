@@ -8,7 +8,8 @@ from privis.partition import CubeId
 from privis.policy import ProtectionLevel, ProtectionPolicy, Scope
 from privis.rng import Mcg64
 
-GOLDEN = json.load(open(os.path.join(os.path.dirname(__file__), "golden", "vectors.json")))
+with open(os.path.join(os.path.dirname(__file__), "golden", "vectors.json")) as _f:
+    GOLDEN = json.load(_f)
 
 HIGH = ProtectionPolicy(ProtectionLevel.HIGH, 1, Scope.FULL_PAYLOAD, 0.9)
 MED = ProtectionPolicy(ProtectionLevel.MED, 3, Scope.FULL_PAYLOAD, 0.0)

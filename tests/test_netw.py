@@ -7,7 +7,6 @@ from privis.netw import (
     FRAG_HEADER_LEN,
     Datagram,
     NetConfig,
-    flow_isolation_check,
     packetize,
     reassemble,
     transmit,
@@ -20,10 +19,10 @@ FLOW = CubeId(1, 2, 3)
 
 def test_config_validation():
     with pytest.raises(ConfigError):
-        NetConfig(mtu=10).validate()
+        NetConfig(mtu=10)
     with pytest.raises(ConfigError):
-        NetConfig(loss_prob=1.5).validate()
-    NetConfig(loss_prob=1.0).validate()  # total loss remains expressible
+        NetConfig(loss_prob=1.5)
+    NetConfig(loss_prob=1.0)  # total loss remains expressible
 
 
 def test_single_fragment_below_mtu():
@@ -123,29 +122,14 @@ def test_determinism_under_fixed_seed():
 
 
 def test_flow_isolation_dropping_one_flow_leaves_other_intact():
-    flow_a, flow_b = CubeId(0, 0, 0), CubeId(9, 9, 9)
-    send = []
-    for i in range(50):
-        send.append((Datagram(flow_a, 0, i, 50, bytes(10)), float(i)))
-        send.append((Datagram(flow_b, 0, i, 50, bytes(10)), float(i)))
+    """Each flow run alone over the channel delivers exactly what it
+    delivers in the joint run: loss in one flow never touches another."""
+    flows = (CubeId(0, 0, 0), CubeId(9, 9, 9), CubeId(2, 0, 0))
+    send = [(Datagram(flow, 0, i, 50, bytes(10)), float(i)) for i in range(50) for flow in flows]
     cfg = NetConfig(loss_prob=0.5, seed=21)
     joint, _ = transmit(send, cfg)
-    solo_b, _ = transmit([p for p in send if p[0].flow_id == flow_b], cfg)
-    joint_b = {(d.frag_index) for d, _t in joint if d.flow_id == flow_b}
-    assert joint_b == {d.frag_index for d, _t in solo_b}
-
-
-def test_flow_isolation_check_report():
-    send = []
-    for flow in (CubeId(0, 0, 0), CubeId(1, 0, 0), CubeId(2, 0, 0)):
-        for i in range(20):
-            send.append((Datagram(flow, 0, i, 20, bytes(8)), float(i)))
-    report = flow_isolation_check(send, NetConfig(loss_prob=0.3, seed=4))
-    assert report["isolated"]
-    assert len(report["flows"]) == 3
-
-
-def test_flow_isolation_check_empty():
-    report = flow_isolation_check([], NetConfig())
-    assert report["isolated"]
-    assert report["flows"] == {}
+    for flow in flows:
+        solo, _ = transmit([p for p in send if p[0].flow_id == flow], cfg)
+        joint_flow = {d.frag_index for d, _t in joint if d.flow_id == flow}
+        assert joint_flow == {d.frag_index for d, _t in solo}
+        assert 0 < len(joint_flow) < 50  # the channel dropped some, not all

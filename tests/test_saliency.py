@@ -18,12 +18,12 @@ CFG = SaliencyConfig()
 
 def test_config_weight_validation():
     with pytest.raises(ValidationError):
-        SaliencyConfig(w_density=0.5, w_motion=0.5, w_view=0.5).validate()
+        SaliencyConfig(w_density=0.5, w_motion=0.5, w_view=0.5)
     with pytest.raises(ValidationError):
-        SaliencyConfig(alpha=1.5).validate()
+        SaliencyConfig(alpha=1.5)
     with pytest.raises(ValidationError):
-        SaliencyConfig(w_identity=0.7, w_user=0.2).validate()
-    SaliencyConfig().validate()
+        SaliencyConfig(w_identity=0.7, w_user=0.2)
+    SaliencyConfig()
 
 
 def test_joint_saliency_collapses_at_extremes():

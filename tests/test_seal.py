@@ -22,7 +22,8 @@ from privis.seal import (
     serialize_cube,
 )
 
-GOLDEN = json.load(open(os.path.join(os.path.dirname(__file__), "golden", "vectors.json")))
+with open(os.path.join(os.path.dirname(__file__), "golden", "vectors.json")) as _f:
+    GOLDEN = json.load(_f)
 
 ROOT = RootKey.from_hex("10" * 32)
 FULL = ProtectionPolicy(ProtectionLevel.HIGH, 1, Scope.FULL_PAYLOAD, 0.9)

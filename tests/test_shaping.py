@@ -18,10 +18,10 @@ CFG = ShapingConfig()
 
 def test_config_validation():
     with pytest.raises(ConfigError):
-        ShapingConfig(jitter_max_ms=25.0, mtp_budget_ms=20.0).validate()
+        ShapingConfig(jitter_max_ms=25.0, mtp_budget_ms=20.0)
     with pytest.raises(ConfigError):
-        ShapingConfig(bucket_bytes=0).validate()
-    ShapingConfig().validate()
+        ShapingConfig(bucket_bytes=0)
+    ShapingConfig()
 
 
 def test_no_padding_at_or_below_theta():
