@@ -47,7 +47,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .client import Admitted, AdmitOutcome, Client, FrameSummary, frame_compose
+from .client import AdmitOutcome, Client, FrameSummary, frame_compose
 from .errors import ConfigError, OrderingError
 from .frame_io import PointCloudFrame, SceneSpec, generate_frame
 from .keyring import KeyRing, RootKey
@@ -348,8 +348,8 @@ class _PlainCodec:
         plain = CubePlaintext(unit[4 : 4 + 12 * n], unit[4 + 12 * n :])
         return dgram.flow_id, dgram.frame_id, plain
 
-    def admit(self, client, item, arrival) -> Admitted:
-        return client.admit_plain(*item)
+    def admit(self, client, item, arrival) -> AdmitOutcome:
+        return client.admit_plain(*item, now_ms=arrival)
 
 
 @dataclass(frozen=True)

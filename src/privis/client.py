@@ -7,11 +7,15 @@ exists, else drops the region for the frame. Hold-over keeps exactly one
 prior version per cube, so staleness is bounded and observable through the
 carried frame id.
 
-Replay protection is a per-flow high-water mark over (frame, fragment)
-with a bounded acceptance window below it: datagrams above the mark
-advance it, genuinely new datagrams inside the window are accepted even
-when they arrive out of order, and duplicates or stale datagrams below the
-window are rejected.
+Replay protection has two layers. Per flow, a high-water frame mark with a
+bounded acceptance window below it filters the unauthenticated fragment
+headers: datagrams of a newer frame advance the mark, genuinely new
+datagrams inside the window are accepted even when they arrive out of
+order, and duplicates or stale datagrams below the window are rejected.
+Per cube, after the integrity check (as RFC 4303 section 3.4.3 orders it),
+a unit renders only when its authenticated frame is newer than the cube's
+last verified one, and a sealed unit only in fragments whose header names
+its own frame and cube; anything else is logged as a replay.
 
 Missing-versus-tampered policy: a cube that fails authentication holds
 over (tamper is evidence the sender tried); a cube that simply never
@@ -72,32 +76,31 @@ AdmitOutcome = Admitted | HeldOver | Dropped
 
 @dataclass
 class ReplayGuard:
-    """Per-flow anti-replay state: a (frame, fragment) high-water mark plus
-    per-frame seen sets for the frames still inside the reorder window."""
+    """Per-flow anti-replay state: the newest frame seen plus per-frame
+    seen sets for the frames still inside the reorder window."""
 
-    marks: dict[CubeId, tuple[int, int]] = field(default_factory=dict)
+    marks: dict[CubeId, int] = field(default_factory=dict)
     seen: dict[CubeId, dict[int, set[int]]] = field(default_factory=dict)
 
 
 def replay_filter(guard: ReplayGuard, flow_id: CubeId, frame_id: int, frag_index: int) -> bool:
     """True to accept the datagram, False to reject it as replayed/stale.
 
-    The mark tracks the maximum (frame, fragment) seen; datagrams above it
-    always advance it. Below the mark, genuinely new datagrams within the
-    last REPLAY_WINDOW_FRAMES frames are accepted (reordering is not
-    replay); duplicates and anything older are rejected.
+    The mark tracks the newest frame seen; a datagram of a newer frame
+    always advances it. At or below the mark, genuinely new datagrams
+    within the last REPLAY_WINDOW_FRAMES frames are accepted (reordering is
+    not replay); duplicates and anything older are rejected.
     """
-    token = (frame_id, frag_index)
     mark = guard.marks.get(flow_id)
     frames = guard.seen.setdefault(flow_id, {})
-    if mark is None or token > mark:
-        guard.marks[flow_id] = token
-        frames.setdefault(frame_id, set()).add(frag_index)
+    if mark is None or frame_id > mark:
+        guard.marks[flow_id] = frame_id
+        frames[frame_id] = {frag_index}
         floor = frame_id - REPLAY_WINDOW_FRAMES
         for old in [f for f in frames if f < floor]:
             del frames[old]
         return True
-    if frame_id < mark[0] - REPLAY_WINDOW_FRAMES:
+    if frame_id < mark - REPLAY_WINDOW_FRAMES:
         return False  # below the window: indistinguishable from replay
     frags = frames.setdefault(frame_id, set())
     if frag_index in frags:
@@ -116,6 +119,19 @@ class RenderState:
     def log_failure(self, frame_id: int, cube_id: CubeId, reason: str, time_ms: float) -> None:
         self.failure_log.append((frame_id, cube_id, reason, time_ms))
 
+    def render_newest(
+        self, cube_id: CubeId, frame_id: int, plaintext: CubePlaintext, now_ms: float
+    ) -> Admitted | HeldOver:
+        """Make an accepted unit the cube's render copy if it is newer than
+        the last verified one. A unit at or below that frame is a replay:
+        it is logged and the newer copy holds over."""
+        prior = self.last_verified.get(cube_id)
+        if prior is not None and frame_id <= prior[0]:
+            self.log_failure(frame_id, cube_id, "replay", now_ms)
+            return HeldOver(cube_id, frame_id, prior[0], prior[1])
+        self.last_verified[cube_id] = (frame_id, plaintext)
+        return Admitted(cube_id, frame_id, plaintext)
+
 
 def admit_cube(
     sealed: SealedCube,
@@ -128,7 +144,7 @@ def admit_cube(
     The key is derived from the header's (cube id, epoch) on every admit,
     so the client keeps no key state; verification failure yields HeldOver
     when a prior verified version exists, Dropped otherwise, and is always
-    logged.
+    logged. A unit that verifies renders by RenderState.render_newest.
     """
     cid = sealed.cube_id
     try:
@@ -140,10 +156,7 @@ def admit_cube(
         if prior is not None:
             return HeldOver(cid, sealed.frame_id, prior[0], prior[1])
         return Dropped(cid, sealed.frame_id, reason)
-    prev = state.last_verified.get(cid)
-    if prev is None or sealed.frame_id >= prev[0]:
-        state.last_verified[cid] = (sealed.frame_id, plaintext)
-    return Admitted(cid, sealed.frame_id, plaintext)
+    return state.render_newest(cid, sealed.frame_id, plaintext, now_ms)
 
 
 @dataclass(frozen=True)
@@ -208,16 +221,23 @@ class Client:
     def on_datagram(self, dgram: Datagram, arrival_ms: float) -> SealedCube | None:
         """Feed one datagram; returns the sealed unit when it completes.
         A completed unit that does not parse is logged as malformed and
-        yields None, like an incomplete one."""
+        yields None, like an incomplete one. So does, logged as a replay,
+        a unit whose header names another frame or cube than its fragment
+        headers: the AEAD tag covers the unit header, so that binds the
+        unauthenticated fragment headers to what admit verifies."""
         unit = self.intake(dgram, arrival_ms)
         if unit is None:
             return None
         try:
             # from_bytes validates the declared pad length and discards the pad
-            return SealedCube.from_bytes(unit)
+            sealed = SealedCube.from_bytes(unit)
         except MalformedHeader:
             self.state.log_failure(dgram.frame_id, dgram.flow_id, "malformed", arrival_ms)
             return None
+        if sealed.frame_id != dgram.frame_id or sealed.cube_id != dgram.flow_id:
+            self.state.log_failure(dgram.frame_id, dgram.flow_id, "replay", arrival_ms)
+            return None
+        return sealed
 
     def intake(self, dgram: Datagram, arrival_ms: float) -> bytes | None:
         """Replay-filter and buffer one datagram; returns the unit's bytes
@@ -234,8 +254,8 @@ class Client:
         REPLAY_WINDOW_FRAMES + 1 buffers.
         """
         flow, frame = dgram.flow_id, dgram.frame_id
-        # every accepted datagram opens or extends a buffer, so the mark's
-        # frame, read before the filter advances it, is the newest buffered
+        # every accepted datagram opens or extends a buffer, so the mark,
+        # read before the filter advances it, is the newest frame buffered
         mark = self.guard.marks.get(flow)
         if not replay_filter(self.guard, flow, frame, dgram.frag_index):
             return None
@@ -243,10 +263,9 @@ class Client:
         buf = self._buffers.get(key)
         if buf is None:
             buf = self._buffers[key] = []
-            if mark is not None and frame > mark[0]:
-                # the flow's buffers lie in [newest - window, newest]
-                newest = mark[0]
-                stale = range(newest - REPLAY_WINDOW_FRAMES, min(frame - REPLAY_WINDOW_FRAMES, newest + 1))
+            if mark is not None and frame > mark:
+                # the flow's buffers lie in [mark - window, mark]
+                stale = range(mark - REPLAY_WINDOW_FRAMES, min(frame - REPLAY_WINDOW_FRAMES, mark + 1))
                 for old in stale:
                     self._buffers.pop((flow, old), None)
         buf.append(dgram)
@@ -266,11 +285,10 @@ class Client:
     def admit(self, sealed: SealedCube, now_ms: float = 0.0) -> AdmitOutcome:
         return admit_cube(sealed, self.root, self.state, now_ms)
 
-    def admit_plain(self, cube_id: CubeId, frame_id: int, plaintext: CubePlaintext) -> Admitted:
+    def admit_plain(
+        self, cube_id: CubeId, frame_id: int, plaintext: CubePlaintext, now_ms: float = 0.0
+    ) -> Admitted | HeldOver:
         """Admit an unencrypted unit (raw streaming): there is nothing to
-        verify, so it becomes the cube's render copy unless a newer frame's
-        copy is already held, the same rule admit_cube applies."""
-        prev = self.state.last_verified.get(cube_id)
-        if prev is None or frame_id >= prev[0]:
-            self.state.last_verified[cube_id] = (frame_id, plaintext)
-        return Admitted(cube_id, frame_id, plaintext)
+        verify, so it goes straight to RenderState.render_newest, the rule
+        admit_cube applies to a unit that verifies."""
+        return self.state.render_newest(cube_id, frame_id, plaintext, now_ms)

@@ -5,8 +5,10 @@ table of (saliency class, binned feature): each traffic feature is
 discretized into equal-width bins over its sample range, MI is computed
 from the empirical joint distribution, and the reported figure is the
 maximum over features. Taking the max treats each feature as its own side
-channel and bounds the strongest one; a joint-trace estimate would report
-no more than this, so the figure errs on the conservative side.
+channel and measures the strongest one. It is a lower bound on the joint
+leakage, not a conservative estimate: by the chain rule,
+I(C; F1, F2, F3) >= max_i I(C; F_i), so an observer who combines the
+features can learn more than this figure.
 
 Bin counts default to 4: at desk-scale sample sizes, finer bins inflate
 plug-in MI estimates through sparse-cell bias.

@@ -28,7 +28,10 @@ __all__ = [
     "membership_change_fraction",
 ]
 
-_BISECT_MAX_ITERS = 24
+# Step n of the bisection tries an edge of at least extent / 2**n, so after
+# 20 steps every cell index of a partitioned frame lies in [0, 2**20) and
+# packs into a key (see _pack_cells).
+_BISECT_MAX_ITERS = 20
 
 
 class CubeId(NamedTuple):
@@ -63,10 +66,9 @@ class CubeSet:
     the same object, not a copy, so nothing may mutate a Cube or its
     arrays once built.
 
-    The per-point cell record is ``point_keys`` (one packed int64 key per
-    point) whenever the cells pack into 21 bits per axis; ``point_cells``
-    then derives the (N, 3) rows from it on demand. Only grids whose cells
-    do not pack store the rows themselves.
+    The per-point cell record is ``point_keys``, one packed int64 key per
+    point (see _pack_cells). Every grid partition_frame picks packs, and
+    reuse re-partitions rather than keep a cell that does not.
     """
 
     frame_id: int
@@ -74,25 +76,14 @@ class CubeSet:
     boundary_epoch: int
     grid_edge: float
     grid_origin: np.ndarray  # (3,)
-    point_keys: np.ndarray | None = None  # (N,) packed cell per point, reuse cache
-    unpacked_cells: np.ndarray | None = None  # (N, 3), only when the cells do not pack
-
-    @property
-    def point_cells(self) -> np.ndarray | None:
-        """(N, 3) cell per point, or None when no per-point record is kept."""
-        if self.point_keys is not None:
-            return _unpack_keys(self.point_keys)
-        return self.unpacked_cells
+    point_keys: np.ndarray  # (N,) packed cell per point
 
     def by_id(self) -> dict[CubeId, Cube]:
         return {c.id: c for c in self.cubes}
 
     def cube_ids_of(self, points: np.ndarray) -> set[CubeId]:
         """Ids of the cubes holding the given point indices."""
-        if self.point_keys is not None:
-            rows = _unpack_keys(_distinct(np.take(self.point_keys, points)))
-        else:
-            rows = np.unique(np.take(self.unpacked_cells, points, axis=0), axis=0)
+        rows = _unpack_keys(_distinct(np.take(self.point_keys, points)))
         return {CubeId(*row) for row in rows.tolist()}
 
 
@@ -138,8 +129,9 @@ def _unpack_keys(keys: np.ndarray) -> np.ndarray:
 
 def _distinct(keys: np.ndarray) -> np.ndarray:
     """Sorted distinct values of a 1-D array: one sort and a neighbour
-    compare. np.unique gives the same values, but numpy 2.3+ routes it
-    through a hash table that is several times slower on int64 keys."""
+    compare. numpy's own unique gives the same values, but numpy 2.3+
+    routes it through a hash table that is several times slower on int64
+    keys."""
     ordered = np.sort(keys)
     first = np.empty(len(ordered), dtype=bool)
     first[:1] = True
@@ -147,38 +139,31 @@ def _distinct(keys: np.ndarray) -> np.ndarray:
     return ordered[first]
 
 
-def _count_nonempty(positions: np.ndarray, origin: np.ndarray, edge: float) -> int:
-    cells = _cells_for(positions, origin, edge)
-    keys = _pack_cells(cells)
-    if keys is None:  # degenerate tiny edges on small frames
-        return len(np.unique(cells, axis=0))
-    return len(_distinct(keys))
+def _count_nonempty(positions: np.ndarray, origin: np.ndarray, edge: float) -> tuple[int, np.ndarray]:
+    """Non-empty cell count at ``edge`` and the packed cell key per point.
+    ``edge`` is one the bisection tries, so the cells pack."""
+    keys = _pack_cells(_cells_for(positions, origin, edge))
+    return len(_distinct(keys)), keys
 
 
-def _build_cubes(
-    positions: np.ndarray,
-    labels: np.ndarray,
-    points: np.ndarray | None = None,
-    cells: np.ndarray | None = None,
-) -> list[Cube]:
-    """Group points by cell label; returns the cubes in id order.
+def _build_cubes(positions: np.ndarray, keys: np.ndarray, points: np.ndarray | None = None) -> list[Cube]:
+    """Group points by packed cell key; returns the cubes in id order.
 
-    ``labels`` holds one label per point of the frame: the packed cell key,
-    or, when the cells do not pack, np.unique's inverse over the ``cells``
-    rows. Both order cells lexicographically, so the groups come out sorted
-    by CubeId. ``points``, ascending, restricts the grouping to those point
-    indices; each cube then gets the same bits as from grouping all points,
-    since its members arrive in the same ascending order.
+    ``keys`` holds one key per point of the frame. Keys order cells
+    lexicographically, so the groups come out sorted by CubeId. ``points``,
+    ascending, restricts the grouping to those point indices; each cube
+    then gets the same bits as from grouping all points, since its members
+    arrive in the same ascending order.
     """
     if points is not None:
-        labels = np.take(labels, points)
-    n = len(labels)
-    order = np.argsort(labels, kind="stable")
+        keys = np.take(keys, points)
+    n = len(keys)
+    order = np.argsort(keys, kind="stable")
     members = order if points is None else np.take(points, order)
-    sorted_labels = np.take(labels, order)
+    sorted_keys = np.take(keys, order)
     first = np.empty(n, dtype=bool)
     first[0] = True
-    np.not_equal(sorted_labels[1:], sorted_labels[:-1], out=first[1:])
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=first[1:])
     starts = np.flatnonzero(first)
     counts = np.diff(starts, append=n)
     sorted_pos = np.take(positions, members, axis=0)
@@ -186,10 +171,7 @@ def _build_cubes(
     mins = np.minimum.reduceat(sorted_pos, starts, axis=0)
     maxs = np.maximum.reduceat(sorted_pos, starts, axis=0)
     centroids = sums / counts[:, None]
-    if cells is None:
-        ids = _unpack_keys(np.take(sorted_labels, starts)).tolist()
-    else:
-        ids = np.take(cells, np.take(members, starts), axis=0).tolist()
+    ids = _unpack_keys(np.take(sorted_keys, starts)).tolist()
     bounds = np.append(starts, n).tolist()
     return [
         Cube(CubeId(*cid), members[a:b], centroid, lo, hi)
@@ -198,15 +180,14 @@ def _build_cubes(
 
 
 def _cube_set(
-    frame: PointCloudFrame, boundary_epoch: int, edge: float, origin: np.ndarray, cells: np.ndarray
+    frame: PointCloudFrame, boundary_epoch: int, edge: float, origin: np.ndarray, keys: np.ndarray
 ) -> CubeSet:
-    keys = _pack_cells(cells)
-    if keys is None:
-        labels = np.unique(cells, axis=0, return_inverse=True)[1].reshape(-1)
-        cubes = _build_cubes(frame.positions, labels, cells=cells)
-        return CubeSet(frame.frame_id, cubes, boundary_epoch, edge, origin, unpacked_cells=cells)
     cubes = _build_cubes(frame.positions, keys)
-    return CubeSet(frame.frame_id, cubes, boundary_epoch, edge, origin, point_keys=keys)
+    return CubeSet(frame.frame_id, cubes, boundary_epoch, edge, origin, keys)
+
+
+def _empty(frame_id: int, boundary_epoch: int, edge: float, origin: np.ndarray) -> CubeSet:
+    return CubeSet(frame_id, [], boundary_epoch, edge, origin, np.empty(0, dtype=np.int64))
 
 
 def partition_frame(
@@ -225,70 +206,53 @@ def partition_frame(
     if target_cubes < 1:
         raise ValidationError("target_cubes must be >= 1")
     if frame.num_points == 0:
-        return CubeSet(frame.frame_id, [], boundary_epoch, 1.0, np.zeros(3))
+        return _empty(frame.frame_id, boundary_epoch, 1.0, np.zeros(3))
 
     origin = frame.positions.min(axis=0)
     extent = float((frame.positions.max(axis=0) - origin).max())
     if extent <= 0.0:  # all points coincide
-        return _cube_set(frame, boundary_epoch, 1.0, origin, _cells_for(frame.positions, origin, 1.0))
+        return _cube_set(frame, boundary_epoch, 1.0, origin, _count_nonempty(frame.positions, origin, 1.0)[1])
 
     band_lo = (target_cubes + 1) // 2
     band_hi = 2 * target_cubes
     lo, hi = 0.0, extent
-    best_edge, best_count = extent, _count_nonempty(frame.positions, origin, extent)
+    best_edge = extent
+    best_count, best_keys = _count_nonempty(frame.positions, origin, extent)
     for _ in range(_BISECT_MAX_ITERS):
         mid = (lo + hi) / 2.0
         if mid <= 0.0:
             break
-        count = _count_nonempty(frame.positions, origin, mid)
-        better = abs(count - target_cubes) < abs(best_count - target_cubes) or (
+        count, keys = _count_nonempty(frame.positions, origin, mid)
+        if band_lo <= count <= band_hi:
+            best_edge, best_keys = mid, keys
+            break
+        if abs(count - target_cubes) < abs(best_count - target_cubes) or (
             abs(count - target_cubes) == abs(best_count - target_cubes)
             and count > best_count
-        )
-        if better:
-            best_edge, best_count = mid, count
-        if band_lo <= count <= band_hi:
-            best_edge = mid
-            break
+        ):
+            best_edge, best_count, best_keys = mid, count, keys
         if count < band_lo:  # too few cubes: shrink cells
             hi = mid
         else:  # too many cubes: grow cells
             lo = mid
-    return _cube_set(
-        frame, boundary_epoch, best_edge, origin, _cells_for(frame.positions, origin, best_edge)
-    )
-
-
-def _prev_cells_of(prev: CubeSet) -> np.ndarray:
-    cells = prev.point_cells
-    if cells is not None:
-        return cells
-    n = sum(c.num_points for c in prev.cubes)
-    cells = np.empty((n, 3), dtype=np.int64)
-    for cube in prev.cubes:
-        cells[cube.point_indices] = cube.id
-    return cells
-
-
-def _changed_fraction(now: np.ndarray, before: np.ndarray, total: int) -> float:
-    """Share of ``total`` points whose cell row in ``now`` differs from the
-    one in ``before``. ORing per-column compares gives the same bits as
-    ``np.any(now != before, axis=1)`` at a fraction of its cost."""
-    differ = (now[:, 0] != before[:, 0]) | (now[:, 1] != before[:, 1]) | (now[:, 2] != before[:, 2])
-    return np.count_nonzero(differ) / total
+    return _cube_set(frame, boundary_epoch, best_edge, origin, best_keys)
 
 
 def membership_change_fraction(prev: CubeSet, frame: PointCloudFrame) -> float:
     """Fraction of points whose grid cell under ``prev``'s boundaries
     differs from their assignment in ``prev``. Index-aligned; a point-count
     change counts as total change."""
-    prev_cells = _prev_cells_of(prev)
-    if frame.num_points != len(prev_cells):
+    n = frame.num_points
+    if n != len(prev.point_keys):
         return 1.0
-    if frame.num_points == 0:
+    if n == 0:
         return 0.0
-    now_cells = _cells_for(frame.positions, prev.grid_origin, prev.grid_edge)
-    return _changed_fraction(now_cells, prev_cells, frame.num_points)
+    now = _cells_for(frame.positions, prev.grid_origin, prev.grid_edge)
+    before = _unpack_keys(prev.point_keys)
+    # ORing per-column compares gives the same bits as
+    # np.any(now != before, axis=1) at a fraction of its cost
+    differ = (now[:, 0] != before[:, 0]) | (now[:, 1] != before[:, 1]) | (now[:, 2] != before[:, 2])
+    return np.count_nonzero(differ) / n
 
 
 def _regroup(
@@ -319,41 +283,37 @@ def reuse_or_repartition(
 
     Reuse keeps boundaries (origin, edge) and the boundary epoch but
     reassigns point indices; a re-partition re-tunes the grid and
-    increments the epoch.
+    increments the epoch. A point-count change counts as a total change.
+    A point whose cell under the previous grid does not pack into a key
+    always re-partitions the frame.
 
-    ``moved`` is an optional per-point mask that is True at least wherever
-    the position differs from the frame ``prev`` was built from. Unmarked
-    points keep their cell under a reused grid, so only the marked ones are
-    located again, and only the cubes whose cells a marked point left or
-    entered are grouped again; the others are ``prev``'s Cube objects. The
-    result is the same CubeSet as without the mask, to the bit.
+    ``moved`` is a per-point mask that is True at least wherever the
+    position differs from the frame ``prev`` was built from; None marks
+    every point. Unmarked points keep their cell under a reused grid, so
+    only the marked ones are located again, and only the cubes whose cells
+    a marked point left or entered are grouped again; the others are
+    ``prev``'s Cube objects. The result is the same CubeSet, to the bit, as
+    with every point marked.
     """
     n = frame.num_points
-    if n == 0:
-        return CubeSet(frame.frame_id, [], prev.boundary_epoch, prev.grid_edge, prev.grid_origin)
     origin, edge = prev.grid_origin, prev.grid_edge
-    if moved is not None and prev.point_keys is not None and len(prev.point_keys) == n:
-        idx = np.flatnonzero(moved)
-        located = _pack_cells(_cells_for(np.take(frame.positions, idx, axis=0), origin, edge))
-        if located is not None:
-            before = np.take(prev.point_keys, idx)
-            if np.count_nonzero(located != before) / n > cfg.change_threshold:
-                return partition_frame(frame, cfg.target_cubes, boundary_epoch=prev.boundary_epoch + 1)
-            keys = prev.point_keys.copy()
-            keys[idx] = located
-            cubes = _regroup(prev.cubes, frame.positions, keys, np.concatenate([before, located]))
-            return CubeSet(frame.frame_id, cubes, prev.boundary_epoch, edge, origin, point_keys=keys)
-    # every point located again: no mask, a point-count change, or cells
-    # that do not pack
-    prev_cells = _prev_cells_of(prev)
-    cells = None
-    if n != len(prev_cells):
+    if n == 0:
+        return _empty(frame.frame_id, prev.boundary_epoch, edge, origin)
+    resized = n != len(prev.point_keys)
+    idx = np.arange(n) if moved is None or resized else np.flatnonzero(moved)
+    located = _pack_cells(_cells_for(np.take(frame.positions, idx, axis=0), origin, edge))
+    if located is None:
+        fraction = np.inf
+    elif resized:
         fraction = 1.0
     else:
-        cells = _cells_for(frame.positions, origin, edge)
-        fraction = _changed_fraction(cells, prev_cells, n)
+        before = np.take(prev.point_keys, idx)
+        fraction = np.count_nonzero(located != before) / n
     if fraction > cfg.change_threshold:
         return partition_frame(frame, cfg.target_cubes, boundary_epoch=prev.boundary_epoch + 1)
-    if cells is None:
-        cells = _cells_for(frame.positions, origin, edge)
-    return _cube_set(frame, prev.boundary_epoch, edge, origin, cells)
+    if resized:
+        return _cube_set(frame, prev.boundary_epoch, edge, origin, located)
+    keys = prev.point_keys.copy()
+    keys[idx] = located
+    cubes = _regroup(prev.cubes, frame.positions, keys, np.concatenate([before, located]))
+    return CubeSet(frame.frame_id, cubes, prev.boundary_epoch, edge, origin, keys)

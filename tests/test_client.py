@@ -140,13 +140,17 @@ def test_no_plaintext_escapes_failed_unit():
 
 
 def test_last_verified_frame_monotone():
+    """A unit that verifies but is not newer than the cube's last verified
+    frame is a replay: it never renders, and the newer copy holds over."""
     state = RenderState()
     cube = CubeId(5, 1, 1)
-    s7, _ = sealed_unit(cube, frame=7)
+    s7, p7 = sealed_unit(cube, frame=7)
     s3, _ = sealed_unit(cube, frame=3)
-    admit_cube(s7, ROOT, state)
-    admit_cube(s3, ROOT, state)  # late but valid: admitted, state not rolled back
-    assert state.last_verified[cube][0] == 7
+    assert admit_cube(s7, ROOT, state, now_ms=1.0) == Admitted(cube, 7, p7)
+    assert admit_cube(s3, ROOT, state, now_ms=2.0) == HeldOver(cube, 3, 7, p7)
+    assert admit_cube(s7, ROOT, state, now_ms=3.0) == HeldOver(cube, 7, 7, p7)  # same frame again
+    assert state.last_verified[cube] == (7, p7)
+    assert state.failure_log == [(3, cube, "replay", 2.0), (7, cube, "replay", 3.0)]
 
 
 def test_admit_plain_renders_unit_and_keeps_newest_copy():
@@ -155,8 +159,9 @@ def test_admit_plain_renders_unit_and_keeps_newest_copy():
     p7 = CubePlaintext(bytes(12), bytes([1, 2, 3, 0]))
     p3 = CubePlaintext(bytes(24), bytes(8))
     assert client.admit_plain(cube, 7, p7) == Admitted(cube, 7, p7)
-    assert client.admit_plain(cube, 3, p3) == Admitted(cube, 3, p3)  # late: not rolled back
+    assert client.admit_plain(cube, 3, p3, now_ms=4.0) == HeldOver(cube, 3, 7, p7)  # late: a replay
     assert client.state.last_verified[cube] == (7, p7)
+    assert client.state.failure_log == [(3, cube, "replay", 4.0)]
     summary, resolved = frame_compose(8, {}, [cube], client.state)
     assert resolved[cube] == HeldOver(cube, 8, 7, p7)
     assert summary.held == 1
@@ -287,13 +292,13 @@ def test_client_buffers_bounded_over_long_lossy_session():
     and every complete unit still comes out."""
     client = Client(ROOT)
     flows = [CubeId(0, 0, k) for k in range(3)]
-    units = {f: sealed_unit(f, frame=0, n_points=100)[0].to_bytes() for f in flows}
     bound = len(flows) * (REPLAY_WINDOW_FRAMES + 1)
     completed = 0
     for frame in range(10_000):
         lost = flows[frame % len(flows)]
         for flow in flows:
-            frags = packetize(units[flow], flow, frame, mtu=200)
+            unit = sealed_unit(flow, frame=frame, epoch=0, n_points=100)[0].to_bytes()
+            frags = packetize(unit, flow, frame, mtu=200)
             if flow == lost:
                 frags = frags[:-1]
             completed += sum(client.on_datagram(d, 0.0) is not None for d in frags)
@@ -307,9 +312,9 @@ def test_client_completes_late_fragments_inside_replay_window():
     of those units complete; frame 0 fell below the window and does not."""
     client = Client(ROOT)
     flow = CubeId(0, 2, 9)
-    unit = sealed_unit(flow, frame=0, n_points=100)[0].to_bytes()
     last = {}
     for frame in range(REPLAY_WINDOW_FRAMES + 2):
+        unit = sealed_unit(flow, frame=frame, n_points=100)[0].to_bytes()
         *head, last[frame] = packetize(unit, flow, frame, mtu=200)
         assert all(client.on_datagram(d, 0.0) is None for d in head)
     assert client.on_datagram(last[0], 0.0) is None
@@ -339,3 +344,41 @@ def test_malformed_datagrams_logged_and_dropped_not_raised():
     (dgram,) = packetize(sealed.to_bytes(), flow, 3)
     got = client.on_datagram(dgram, 5.0)
     assert got is not None and client.admit(got).plaintext == plain
+
+
+def _deliver(client, sealed, flow, frame, arrival_ms=0.0):
+    """Fragment a sealed unit under the given fragment headers and feed it
+    through the client; returns what the last fragment completes."""
+    got = None
+    for dgram in packetize(sealed.to_bytes(), flow, frame, mtu=300):
+        got = client.on_datagram(dgram, arrival_ms)
+    return got
+
+
+def test_authenticated_replay_in_newer_fragments_is_not_admitted():
+    """A sealed frame-0 unit in fragments that claim frame 5, delivered
+    after frame 1: the fragment headers pass the replay filter, the unit
+    verifies, yet it names frame 0, so it is logged as a replay and frame 5
+    renders frame 1's copy."""
+    client = Client(ROOT)
+    cube = CubeId(3, 0, 7)
+    s0, _ = sealed_unit(cube, frame=0, n_points=60)
+    s1, p1 = sealed_unit(cube, frame=1, n_points=60)
+    for frame, sealed in ((0, s0), (1, s1)):
+        assert isinstance(client.admit(_deliver(client, sealed, cube, frame)), Admitted)
+    assert _deliver(client, s0, cube, 5, arrival_ms=9.0) is None
+    assert client.state.failure_log == [(5, cube, "replay", 9.0)]
+    summary, resolved = frame_compose(5, {}, [cube], client.state)
+    assert resolved[cube] == HeldOver(cube, 5, 1, p1)
+    assert summary.admitted == 0 and summary.held == 1
+
+
+def test_unit_under_another_flow_is_a_replay():
+    """The unit header names the cube; fragments of another flow carry it
+    in vain."""
+    client = Client(ROOT)
+    cube, other = CubeId(3, 1, 7), CubeId(3, 2, 7)
+    sealed, _ = sealed_unit(cube, frame=2)
+    assert _deliver(client, sealed, other, 2, arrival_ms=1.5) is None
+    assert client.state.failure_log == [(2, other, "replay", 1.5)]
+    assert client.state.last_verified == {}

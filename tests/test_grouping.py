@@ -20,6 +20,7 @@ from privis.partition import (
     PartitionConfig,
     _cells_for,
     _count_nonempty,
+    _unpack_keys,
     partition_frame,
     reuse_or_repartition,
 )
@@ -80,10 +81,7 @@ def _assert_same_cube_set(a, b):
         assert np.array_equal(x.point_indices, y.point_indices)
         for field in ("centroid", "aabb_min", "aabb_max"):
             assert getattr(x, field).tobytes() == getattr(y, field).tobytes(), (x.id, field)
-    assert a.point_cells.tobytes() == b.point_cells.tobytes()
-    assert (a.point_keys is None) == (b.point_keys is None)
-    if a.point_keys is not None:
-        assert a.point_keys.tobytes() == b.point_keys.tobytes()
+    assert a.point_keys.tobytes() == b.point_keys.tobytes()
 
 
 @pytest.mark.parametrize("threshold", [0.2, 1.0])
@@ -162,8 +160,8 @@ def test_recolor_only_change_rebuilds_its_cube():
 
 
 def _far_apart_frame(frame_id):
-    """A line of 64 unit-spaced points and one point 1e9 away: the tuned
-    edge is about one, so cell indices need more than 21 bits per axis."""
+    """A line of 64 unit-spaced points and one point 1e9 away: a target-sized
+    cube would need more than 2**20 cells per axis."""
     positions = np.zeros((65, 3))
     positions[:64, 0] = np.arange(64)
     positions[64] = 1e9
@@ -178,20 +176,31 @@ def _far_apart_frame(frame_id):
     )
 
 
-def test_reuse_without_packed_keys_matches_full_relocation():
+def test_far_apart_frame_packs_and_a_jump_beyond_the_grid_repartitions():
+    """The bisection stops at an edge of extent / 2**20 at the finest, so
+    every cell packs; under reuse, a point that jumps out of the packable
+    range re-partitions the frame, however few points moved."""
     first = _far_apart_frame(0)
     prev = partition_frame(first)
-    assert prev.point_keys is None and prev.point_cells is not None
+    assert prev.grid_edge >= 1e9 / 2**20
+    cells = _cells_for(first.positions, prev.grid_origin, prev.grid_edge)
+    assert _unpack_keys(prev.point_keys).tobytes() == cells.tobytes()
     moved = _far_apart_frame(1)
     moved.positions[5, 0] += 0.5  # stays in its cell
-    moved.positions[7, 0] += 1.0  # joins its neighbour's cell
     cubes = reuse_or_repartition(prev, moved, PartitionConfig(), _changed_mask(moved, first))
-    assert cubes.boundary_epoch == prev.boundary_epoch and cubes.point_keys is None
-    assert cubes.point_cells.tobytes() == _cells_for(moved.positions, prev.grid_origin, prev.grid_edge).tobytes()
+    assert (cubes.boundary_epoch, cubes.grid_edge) == (prev.boundary_epoch, prev.grid_edge)
     _assert_same_cube_set(cubes, reuse_or_repartition(prev, moved))
-    assert cubes.cube_ids_of(np.array([7, 8, 64])) == {
-        CubeId(*row) for row in cubes.point_cells[[8, 64]].tolist()
-    }
+    for jump, epoch in ((1e12, prev.boundary_epoch), (1e16, prev.boundary_epoch + 1)):
+        jumped = _far_apart_frame(2)
+        jumped.positions[7, 0] += jump  # 1e12: 2,000 cells on; 1e16: 2e7, beyond 2**20
+        for threshold in (0.2, 1.0):  # one point in 65 is below either
+            cfg = PartitionConfig(change_threshold=threshold)
+            again = reuse_or_repartition(cubes, jumped, cfg, _changed_mask(jumped, moved))
+            assert again.boundary_epoch == epoch
+            if epoch == prev.boundary_epoch:
+                _assert_same_cube_set(again, reuse_or_repartition(cubes, jumped, cfg))
+            else:
+                _assert_same_cube_set(again, partition_frame(jumped, boundary_epoch=epoch))
 
 
 def test_cube_ids_of_matches_unique_reference(frames):
@@ -200,16 +209,18 @@ def test_cube_ids_of_matches_unique_reference(frames):
     for cubes, _prev, frame in _grouped(frames):
         for size in (0, 1, 50, frame.num_points // 3):
             points = rng.choice(frame.num_points, size=size, replace=False)
-            rows = np.unique(cubes.point_cells[points], axis=0).tolist()
+            rows = np.unique(_unpack_keys(cubes.point_keys[points]), axis=0).tolist()
             assert cubes.cube_ids_of(points) == {CubeId(*row) for row in rows}
 
 
 def test_cold_count_matches_unique_reference():
     frame = SCENES["orbit"]()[0]
     origin = frame.positions.min(axis=0)
-    for edge in (4.0, 0.5, 0.11, 0.03, 1e-7):
+    for edge in (4.0, 0.5, 0.11, 0.03):
         cells = _cells_for(frame.positions, origin, edge)
-        assert _count_nonempty(frame.positions, origin, edge) == len(np.unique(cells, axis=0))
+        count, keys = _count_nonempty(frame.positions, origin, edge)
+        assert count == len(np.unique(cells, axis=0))
+        assert _unpack_keys(keys).tobytes() == cells.tobytes()
 
 
 def _reference_scores(cubes, frame, prev_cubes, cfg):

@@ -26,6 +26,15 @@ def test_empty_frame_gives_empty_cubeset():
     frame = make_frame(np.zeros((0, 3)))
     cs = partition_frame(frame, 64)
     assert cs.cubes == []
+    assert cs.point_keys.dtype == np.int64 and len(cs.point_keys) == 0
+    # points after an empty frame are a point-count change: a total change
+    # re-partitions, a threshold of 1.0 keeps the grid
+    points = make_frame([(0.0, 0.0, 0.0), (2.5, 0.0, 0.0)], frame_id=1)
+    again = reuse_or_repartition(cs, points, PartitionConfig())
+    assert again.boundary_epoch == 1
+    kept = reuse_or_repartition(cs, points, PartitionConfig(change_threshold=1.0))
+    assert (kept.boundary_epoch, kept.grid_edge) == (0, cs.grid_edge)
+    assert [c.id for c in kept.cubes] == [CubeId(0, 0, 0), CubeId(2, 0, 0)]
 
 
 def test_eight_corner_points():
