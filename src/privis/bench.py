@@ -457,7 +457,9 @@ class Session:
 
         # stage 2: unit plan and key schedule. A unit is refreshed when its
         # content changed or its key rotated this frame (a new cube's key
-        # rotates at its first frame); refresh order is plan order.
+        # rotates at its first frame). Units are serialized, sealed and
+        # sent in the iteration order of the `refresh` set, not in plan
+        # order; the goldens' `trace` hash pins that order.
         clock.start("key_management")
         plan = {cid: (s, pol) for cid, s, pol in planner.plan(theta, scores, by_id)}
         keys = {}

@@ -7,15 +7,19 @@ exists, else drops the region for the frame. Hold-over keeps exactly one
 prior version per cube, so staleness is bounded and observable through the
 carried frame id.
 
-Replay protection has two layers. Per flow, a high-water frame mark with a
-bounded acceptance window below it filters the unauthenticated fragment
-headers: datagrams of a newer frame advance the mark, genuinely new
-datagrams inside the window are accepted even when they arrive out of
-order, and duplicates or stale datagrams below the window are rejected.
-Per cube, after the integrity check (as RFC 4303 section 3.4.3 orders it),
-a unit renders only when its authenticated frame is newer than the cube's
-last verified one, and a sealed unit only in fragments whose header names
-its own frame and cube; anything else is logged as a replay.
+Replay protection has two layers. For the session, one high-water frame
+mark with a bounded acceptance window below it filters the unauthenticated
+fragment headers: all flows share one frame counter, so a datagram of a
+newer frame advances the mark, genuinely new (flow, fragment) pairs inside
+the window are accepted even when they arrive out of order, and duplicates
+or stale datagrams below the window are rejected. Reassembly buffers are
+kept per frame and live exactly as long as their frame is inside that
+window, so neither grows with the number of flow ids the unauthenticated
+headers name. Per cube, after the integrity check (as RFC 4303 section
+3.4.3 orders it), a unit renders only when its authenticated frame is newer
+than the cube's last verified one, and a sealed unit only in fragments
+whose header names its own frame and cube; anything else is logged as a
+replay.
 
 Missing-versus-tampered policy: a cube that fails authentication holds
 over (tamper is evidence the sender tried); a cube that simply never
@@ -76,36 +80,38 @@ AdmitOutcome = Admitted | HeldOver | Dropped
 
 @dataclass
 class ReplayGuard:
-    """Per-flow anti-replay state: the newest frame seen plus per-frame
-    seen sets for the frames still inside the reorder window."""
+    """Session-wide anti-replay state: the newest frame seen, and for each
+    frame in [newest - REPLAY_WINDOW_FRAMES, newest] the (flow, fragment)
+    pairs seen in it."""
 
-    marks: dict[CubeId, int] = field(default_factory=dict)
-    seen: dict[CubeId, dict[int, set[int]]] = field(default_factory=dict)
+    newest: int | None = None
+    seen: dict[int, set[tuple[CubeId, int]]] = field(default_factory=dict)
 
 
 def replay_filter(guard: ReplayGuard, flow_id: CubeId, frame_id: int, frag_index: int) -> bool:
     """True to accept the datagram, False to reject it as replayed/stale.
 
-    The mark tracks the newest frame seen; a datagram of a newer frame
-    always advances it. At or below the mark, genuinely new datagrams
-    within the last REPLAY_WINDOW_FRAMES frames are accepted (reordering is
-    not replay); duplicates and anything older are rejected.
+    A datagram of a newer frame than any seen always advances the mark and
+    drops the frames that fall below the window. At or below the mark,
+    genuinely new datagrams within the last REPLAY_WINDOW_FRAMES frames are
+    accepted (reordering is not replay); duplicates and anything older are
+    rejected.
     """
-    mark = guard.marks.get(flow_id)
-    frames = guard.seen.setdefault(flow_id, {})
-    if mark is None or frame_id > mark:
-        guard.marks[flow_id] = frame_id
-        frames[frame_id] = {frag_index}
+    newest = guard.newest
+    if newest is None or frame_id > newest:
+        guard.newest = frame_id
         floor = frame_id - REPLAY_WINDOW_FRAMES
-        for old in [f for f in frames if f < floor]:
-            del frames[old]
+        for old in [f for f in guard.seen if f < floor]:
+            del guard.seen[old]
+        guard.seen[frame_id] = {(flow_id, frag_index)}
         return True
-    if frame_id < mark - REPLAY_WINDOW_FRAMES:
+    if frame_id < newest - REPLAY_WINDOW_FRAMES:
         return False  # below the window: indistinguishable from replay
-    frags = frames.setdefault(frame_id, set())
-    if frag_index in frags:
+    pairs = guard.seen.setdefault(frame_id, set())
+    pair = (flow_id, frag_index)
+    if pair in pairs:
         return False
-    frags.add(frag_index)
+    pairs.add(pair)
     return True
 
 
@@ -216,7 +222,7 @@ class Client:
     root: RootKey
     state: RenderState = field(default_factory=RenderState)
     guard: ReplayGuard = field(default_factory=ReplayGuard)
-    _buffers: dict[tuple[CubeId, int], list[Datagram]] = field(default_factory=dict)
+    _buffers: dict[int, dict[CubeId, list[Datagram]]] = field(default_factory=dict)
 
     def on_datagram(self, dgram: Datagram, arrival_ms: float) -> SealedCube | None:
         """Feed one datagram; returns the sealed unit when it completes.
@@ -247,39 +253,34 @@ class Client:
         that differ) cannot form a unit: their buffer is dropped and the
         failure logged as malformed at ``arrival_ms``.
 
-        When a flow opens a buffer for a newer frame than any before, its
-        buffers for frames that fell below the replay window are dropped:
-        replay_filter rejects every later fragment of such a frame, so they
-        could never complete. Each flow therefore holds at most
-        REPLAY_WINDOW_FRAMES + 1 buffers.
+        Buffers are kept per frame. When a datagram opens a frame, the
+        frames below the replay window go with their buffers: replay_filter
+        rejects every later fragment of such a frame, so they could never
+        complete. The client therefore holds buffers for at most
+        REPLAY_WINDOW_FRAMES + 1 frames.
         """
         flow, frame = dgram.flow_id, dgram.frame_id
-        # every accepted datagram opens or extends a buffer, so the mark,
-        # read before the filter advances it, is the newest frame buffered
-        mark = self.guard.marks.get(flow)
         if not replay_filter(self.guard, flow, frame, dgram.frag_index):
             return None
-        key = (flow, frame)
-        buf = self._buffers.get(key)
-        if buf is None:
-            buf = self._buffers[key] = []
-            if mark is not None and frame > mark:
-                # the flow's buffers lie in [mark - window, mark]
-                stale = range(mark - REPLAY_WINDOW_FRAMES, min(frame - REPLAY_WINDOW_FRAMES, mark + 1))
-                for old in stale:
-                    self._buffers.pop((flow, old), None)
+        flows = self._buffers.get(frame)
+        if flows is None:
+            flows = self._buffers[frame] = {}
+            floor = self.guard.newest - REPLAY_WINDOW_FRAMES
+            for old in [f for f in self._buffers if f < floor]:
+                del self._buffers[old]
+        buf = flows.setdefault(flow, [])
         buf.append(dgram)
         if len(buf) < dgram.frag_count:
             return None
         try:
             unit = reassemble(buf)
         except MalformedHeader:
-            del self._buffers[key]
+            del flows[flow]
             self.state.log_failure(frame, flow, "malformed", arrival_ms)
             return None
         if unit is None:
             return None
-        del self._buffers[key]
+        del flows[flow]
         return unit
 
     def admit(self, sealed: SealedCube, now_ms: float = 0.0) -> AdmitOutcome:

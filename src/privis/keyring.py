@@ -4,7 +4,7 @@ Per-cube keys come from HKDF-SHA-256 (RFC 5869 extract-then-expand) with
 the session id as salt and an info string binding the cube id and epoch:
 
     salt = session_id (16 bytes)
-    info = "privis/cube" || ix || iy || iz (int32 LE each) || epoch (int64 LE)
+    info = "privis/cube" || ix || iy || iz (int32 LE each) || epoch (u64 LE)
     key  = HKDF(root, salt, info, 32 bytes)
 
 Both sides derive keys independently from the shared root plus the sealed
@@ -22,33 +22,20 @@ all epochs. The scheme matches the declared scope of this transport layer.
 from __future__ import annotations
 
 import hashlib
-import hmac
 import os
 import struct
 from dataclasses import dataclass, field
+
+from cryptography.hazmat.primitives.hashes import SHA256
+from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 
 from .errors import ValidationError
 from .partition import CubeId
 from .policy import ProtectionPolicy
 
-__all__ = ["RootKey", "KeyEpoch", "KeyRing", "hkdf_sha256", "derive_key"]
+__all__ = ["RootKey", "KeyEpoch", "KeyRing", "derive_key"]
 
 _INFO_PREFIX = b"privis/cube"
-
-
-def hkdf_sha256(ikm: bytes, salt: bytes, info: bytes, length: int = 32) -> bytes:
-    """RFC 5869 HKDF with SHA-256, written against the RFC directly."""
-    if not 0 < length <= 255 * 32:
-        raise ValidationError("bad HKDF output length")
-    prk = hmac.new(salt, ikm, hashlib.sha256).digest()
-    okm = b""
-    block = b""
-    counter = 1
-    while len(okm) < length:
-        block = hmac.new(prk, block + info + bytes([counter]), hashlib.sha256).digest()
-        okm += block
-        counter += 1
-    return okm[:length]
 
 
 @dataclass(frozen=True)
@@ -88,8 +75,8 @@ def derive_key(root: RootKey, cube_id: CubeId, epoch: int) -> bytes:
     """Deterministic 32-byte cube key for one epoch."""
     if epoch < 0:
         raise ValidationError("epoch must be >= 0")
-    info = _INFO_PREFIX + struct.pack("<iii", *cube_id) + struct.pack("<q", epoch)
-    return hkdf_sha256(root.key_material, root.session_id, info)
+    info = _INFO_PREFIX + struct.pack("<iiiQ", *cube_id, epoch)
+    return HKDF(SHA256(), 32, root.session_id, info).derive(root.key_material)
 
 
 @dataclass

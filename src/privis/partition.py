@@ -49,8 +49,6 @@ class Cube:
     id: CubeId
     point_indices: np.ndarray  # indices into the frame's point arrays
     centroid: np.ndarray  # (3,)
-    aabb_min: np.ndarray  # (3,)
-    aabb_max: np.ndarray  # (3,)
 
     @property
     def num_points(self) -> int:
@@ -167,15 +165,12 @@ def _build_cubes(positions: np.ndarray, keys: np.ndarray, points: np.ndarray | N
     starts = np.flatnonzero(first)
     counts = np.diff(starts, append=n)
     sorted_pos = np.take(positions, members, axis=0)
-    sums = np.add.reduceat(sorted_pos, starts, axis=0)
-    mins = np.minimum.reduceat(sorted_pos, starts, axis=0)
-    maxs = np.maximum.reduceat(sorted_pos, starts, axis=0)
-    centroids = sums / counts[:, None]
+    centroids = np.add.reduceat(sorted_pos, starts, axis=0) / counts[:, None]
     ids = _unpack_keys(np.take(sorted_keys, starts)).tolist()
     bounds = np.append(starts, n).tolist()
     return [
-        Cube(CubeId(*cid), members[a:b], centroid, lo, hi)
-        for cid, a, b, centroid, lo, hi in zip(ids, bounds, bounds[1:], centroids, mins, maxs)
+        Cube(CubeId(*cid), members[a:b], centroid)
+        for cid, a, b, centroid in zip(ids, bounds, bounds[1:], centroids)
     ]
 
 

@@ -94,6 +94,18 @@ def test_flows_tracked_independently():
     assert replay_filter(guard, CubeId(1, 0, 0), 0, 0)
 
 
+def test_window_is_shared_by_all_flows():
+    """All flows count frames on one clock: a fragment more than
+    REPLAY_WINDOW_FRAMES behind another flow's newest frame is stale, even
+    from a flow never seen before; inside the window it is accepted."""
+    guard = ReplayGuard()
+    newest = 10
+    assert replay_filter(guard, CubeId(0, 0, 0), newest, 0)
+    assert not replay_filter(guard, CubeId(1, 0, 0), newest - REPLAY_WINDOW_FRAMES - 1, 0)
+    assert replay_filter(guard, CubeId(2, 0, 0), newest - REPLAY_WINDOW_FRAMES, 0)
+    assert not replay_filter(guard, CubeId(2, 0, 0), newest - REPLAY_WINDOW_FRAMES, 0)
+
+
 # --- admission ---
 
 
@@ -288,11 +300,10 @@ def test_holdover_staleness_bounded_by_rotation_interval():
 
 def test_client_buffers_bounded_over_long_lossy_session():
     """One fragment of one flow is lost every frame for 10k frames: the
-    half-filled buffers are dropped once they fall below the replay window,
-    and every complete unit still comes out."""
+    half-filled buffers are dropped once their frame falls below the replay
+    window, and every complete unit still comes out."""
     client = Client(ROOT)
     flows = [CubeId(0, 0, k) for k in range(3)]
-    bound = len(flows) * (REPLAY_WINDOW_FRAMES + 1)
     completed = 0
     for frame in range(10_000):
         lost = flows[frame % len(flows)]
@@ -302,7 +313,8 @@ def test_client_buffers_bounded_over_long_lossy_session():
             if flow == lost:
                 frags = frags[:-1]
             completed += sum(client.on_datagram(d, 0.0) is not None for d in frags)
-        assert len(client._buffers) <= bound
+        assert len(client._buffers) <= REPLAY_WINDOW_FRAMES + 1
+        assert sum(map(len, client._buffers.values())) <= REPLAY_WINDOW_FRAMES + 1
     assert completed == 10_000 * (len(flows) - 1)
 
 
@@ -331,7 +343,7 @@ def test_malformed_datagrams_logged_and_dropped_not_raised():
     flow = CubeId(1, 2, 3)
     # frag_index >= frag_count: the buffer can never form a unit
     assert client.on_datagram(Datagram(flow, 0, 5, 1, b"x"), 2.5) is None
-    assert (flow, 0) not in client._buffers
+    assert flow not in client._buffers[0]
     # one complete fragment whose bytes are not a sealed unit
     assert client.on_datagram(Datagram(flow, 1, 0, 1, b"not a sealed unit"), 3.5) is None
     assert client.state.failure_log == [(0, flow, "malformed", 2.5), (1, flow, "malformed", 3.5)]
@@ -339,7 +351,7 @@ def test_malformed_datagrams_logged_and_dropped_not_raised():
     assert client.intake(Datagram(flow, 2, 3, 2, b"x"), 4.5) is None
     assert client.intake(Datagram(flow, 2, 0, 2, b"x"), 4.6) is None
     assert client.state.failure_log[-1] == (2, flow, "malformed", 4.6)
-    assert not client._buffers
+    assert not any(client._buffers.values())
     sealed, plain = sealed_unit(flow, frame=3)
     (dgram,) = packetize(sealed.to_bytes(), flow, 3)
     got = client.on_datagram(dgram, 5.0)
@@ -382,3 +394,42 @@ def test_unit_under_another_flow_is_a_replay():
     assert _deliver(client, sealed, other, 2, arrival_ms=1.5) is None
     assert client.state.failure_log == [(2, other, "replay", 1.5)]
     assert client.state.last_verified == {}
+
+
+def test_forged_flow_flood_stays_within_window_bound():
+    """Fragment headers are unauthenticated, so a forger can name a fresh
+    flow id in every datagram. Each forged fragment opens a buffer that
+    never completes; the replay state and the buffers still span at most
+    REPLAY_WINDOW_FRAMES + 1 frames, and each frame's state goes once the
+    honest flow moves past the window."""
+    client = Client(ROOT)
+    honest = CubeId(0, 0, 0)
+    per_frame = 100
+    bound = REPLAY_WINDOW_FRAMES + 1
+    for frame in range(200):
+        for k in range(per_frame):
+            forged = CubeId(1 + frame * per_frame + k, 7, 7)
+            assert client.on_datagram(Datagram(forged, frame, 0, 2, b"x"), 0.0) is None
+        sealed, plain = sealed_unit(honest, frame=frame)
+        (dgram,) = packetize(sealed.to_bytes(), honest, frame)
+        assert client.admit(client.on_datagram(dgram, 0.0)).plaintext == plain
+        assert len(client.guard.seen) <= bound
+        assert sum(map(len, client.guard.seen.values())) <= bound * (per_frame + 1)
+        assert len(client._buffers) <= bound
+        assert sum(map(len, client._buffers.values())) <= bound * per_frame
+
+
+def test_epoch_top_bit_flip_is_an_auth_failure():
+    """The unit header carries the epoch as a u64; with its top bit flipped
+    the receiver derives a key for that epoch, the tag fails, and the unit
+    is logged as an auth failure instead of raising."""
+    client = Client(ROOT)
+    cube = CubeId(4, 0, 4)
+    sealed, _ = sealed_unit(cube, frame=3)
+    wire = bytearray(sealed.to_bytes())
+    wire[47] ^= 0x80  # the epoch is the u64 at header bytes 40..47
+    (dgram,) = packetize(bytes(wire), cube, 3)
+    got = client.on_datagram(dgram, 1.0)
+    assert got is not None and got.epoch == sealed.epoch + 2**63
+    assert client.admit(got, now_ms=1.0) == Dropped(cube, 3, "auth_failure")
+    assert client.state.failure_log == [(3, cube, "auth_failure", 1.0)]

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from privis.keyring import KeyRing, RootKey, derive_key, hkdf_sha256
+from privis.keyring import KeyRing, RootKey, derive_key
 from privis.partition import CubeId
 from privis.policy import ProtectionLevel, ProtectionPolicy, Scope
 from privis.rng import Mcg64
@@ -24,8 +24,8 @@ def test_golden_hkdf_vectors():
 
 
 def test_derivation_matches_library_oracle_on_random_vectors():
-    """Cross-check the hand-rolled RFC 5869 code against the cryptography
-    package's HKDF on 100 random (cube, epoch) vectors."""
+    """derive_key is HKDF-SHA-256 over the documented salt and info layout,
+    checked on 100 random (cube, epoch) vectors."""
     import struct
 
     from cryptography.hazmat.primitives import hashes
@@ -36,7 +36,7 @@ def test_derivation_matches_library_oracle_on_random_vectors():
     for _ in range(100):
         cube = CubeId(rng.randint(-1000, 1000), rng.randint(-1000, 1000), rng.randint(-1000, 1000))
         epoch = rng.randint(0, 10000)
-        info = b"privis/cube" + struct.pack("<iii", *cube) + struct.pack("<q", epoch)
+        info = b"privis/cube" + struct.pack("<iii", *cube) + struct.pack("<Q", epoch)
         expected = HKDF(
             algorithm=hashes.SHA256(), length=32, salt=root.session_id, info=info
         ).derive(root.key_material)
@@ -142,13 +142,6 @@ def test_receiver_side_derivation_matches_sender():
     cube = CubeId(-1, 4, 2)
     sender = ring.key_for_frame(cube, 0, HIGH, stable=True)
     assert derive_key(RootKey.from_hex("66" * 32), cube, sender.epoch) == sender.key
-
-
-def test_hkdf_multi_block_expansion():
-    # lengths beyond one SHA-256 block exercise the counter loop
-    okm = hkdf_sha256(b"ikm", b"salt", b"info", length=80)
-    assert len(okm) == 80
-    assert okm[:32] == hkdf_sha256(b"ikm", b"salt", b"info", length=32)
 
 
 def test_root_key_validation():

@@ -54,10 +54,13 @@ def test_synthetic_scene_count_band_and_partition_property():
     assert_partition_property(cs, frame)
 
 
-def test_centroid_inside_aabb(small_cubes):
+def test_centroid_inside_its_cell(small_cubes):
+    """A cell is convex, so the mean of its points lies inside it."""
+    edge, origin = small_cubes.grid_edge, small_cubes.grid_origin
     for cube in small_cubes.cubes:
-        assert (cube.centroid >= cube.aabb_min - 1e-12).all()
-        assert (cube.centroid <= cube.aabb_max + 1e-12).all()
+        lo = origin + np.array(cube.id) * edge
+        assert (cube.centroid >= lo - 1e-6 * edge).all(), cube.id
+        assert (cube.centroid <= lo + edge + 1e-6 * edge).all(), cube.id
 
 
 def test_cube_ids_unique_and_sorted(small_cubes):
