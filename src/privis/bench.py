@@ -17,8 +17,8 @@ adaptation are switched on for privis alone.
 
 Per-frame stage accounting (wall time, monotonic clock):
 
-    saliency_grouping   change detection, partition/reuse, scoring,
-                        changed-cube lookup
+    saliency_grouping   change detection, partition/reuse, scoring, the
+                        set of rebuilt cubes
     key_management      unit plan (policy assignment, budget pass), key
                         schedule
     encryption          seal_cube calls only
@@ -29,12 +29,14 @@ Per-frame stage accounting (wall time, monotonic clock):
                         (noenc), frame composition
     total               one bracket around all of the above
 
-Refresh rule: a unit is sealed and sent again when its content changed or
-its key rotated this frame (a new cube's key rotates at its first frame);
-otherwise the receiver keeps rendering its held-over verified copy. Plain
-units have no key, so noenc refreshes on content change alone. The
-emulated network runs on virtual time and is excluded from the latency
-accounting.
+Refresh rule: a unit is sealed and sent again when its key rotated this
+frame or its cube is not the previous frame's object for that id
+(CubeSet.rebuilt_since: new, re-partitioned, or a cell a changed point
+left or entered); otherwise the receiver keeps rendering its held-over
+verified copy. The client takes every datagram that arrives, since
+shaping already holds each within the motion-to-photon budget of its
+frame's send time. The emulated network runs on virtual time and is
+excluded from the latency accounting.
 """
 
 from __future__ import annotations
@@ -149,15 +151,12 @@ class RunConfig:
     root_key_hex: str | None = None
     shaping_enabled: bool = True
     adaptation_enabled: bool = True
-    frame_timeout_ms: float = 10.0
     content_digests: bool = False
     keep_units: bool = False  # retain sealed unit bytes for offline checks
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}")
-        if self.frame_timeout_ms <= 0:
-            raise ConfigError("frame_timeout_ms must be positive")
 
 
 @dataclass
@@ -252,16 +251,6 @@ def _changed_mask(frame: PointCloudFrame, prev: PointCloudFrame | None) -> np.nd
         changed |= frame.positions[:, col] != prev.positions[:, col]
         changed |= frame.colors[:, col] != prev.colors[:, col]
     return changed
-
-
-def _changed_cube_ids(cubes: CubeSet, changed: np.ndarray | None) -> set[CubeId] | None:
-    """Ids of cubes containing any changed point; None means all changed."""
-    if changed is None:
-        return None
-    points = np.flatnonzero(changed)
-    if not len(points):
-        return set()
-    return cubes.cube_ids_of(points)
 
 
 def _policy_assigner(pol_cfg: PolicyConfig):
@@ -450,23 +439,22 @@ class Session:
         else:
             cubes = reuse_or_repartition(prev_cubes, frame, cfg.partition, changed)
         scores = score_cubes(cubes, frame, prev_cubes, cfg.saliency)
-        changed_cubes = _changed_cube_ids(cubes, changed)
+        rebuilt = cubes.rebuilt_since(prev_cubes)
         by_id = cubes.by_id()
         stable = prev_cubes is not None and cubes.boundary_epoch == prev_cubes.boundary_epoch
         clock.stop()
 
         # stage 2: unit plan and key schedule. A unit is refreshed when its
-        # content changed or its key rotated this frame (a new cube's key
-        # rotates at its first frame). Units are serialized, sealed and
-        # sent in the iteration order of the `refresh` set, not in plan
-        # order; the goldens' `trace` hash pins that order.
+        # cube was rebuilt or its key rotated this frame. Units are
+        # serialized, sealed and sent in the iteration order of the
+        # `refresh` set, not in plan order; the goldens' `trace` hash pins it.
         clock.start("key_management")
         plan = {cid: (s, pol) for cid, s, pol in planner.plan(theta, scores, by_id)}
         keys = {}
         refresh: set[CubeId] = set()
         for cid, (_s, pol) in plan.items():
             keys[cid], rotated = codec.schedule(cid, i, pol, stable)
-            if rotated or changed_cubes is None or cid in changed_cubes:
+            if rotated or cid in rebuilt:
                 refresh.add(cid)
         clock.stop()
 
@@ -529,15 +517,10 @@ class Session:
         delivered, traces = transmit(sendlist, cfg.net)
         net_cost_s = time.perf_counter() - t_net0
 
-        # receiver intake: replay filter, reassembly, timeout cutoff
+        # receiver intake: replay filter, reassembly
         clock.start("transport_assembly")
         completed = []
-        deadline = None
         for dgram, arrival in delivered:
-            if deadline is None:
-                deadline = arrival + cfg.frame_timeout_ms
-            if arrival > deadline:
-                continue
             item = codec.receive(client, dgram, arrival)
             if item is not None:
                 completed.append((item, arrival))

@@ -22,8 +22,8 @@ whose header names its own frame and cube; anything else is logged as a
 replay.
 
 Missing-versus-tampered policy: a cube that fails authentication holds
-over (tamper is evidence the sender tried); a cube that simply never
-completed by the frame deadline holds over with history and drops without.
+over (tamper is evidence the sender tried); a cube with no completed unit
+this frame holds over with history and drops without.
 """
 
 from __future__ import annotations

@@ -10,9 +10,10 @@ Sealed units fragment into datagrams with a 24-byte header:
 The channel is a deterministic discrete-event emulation: each datagram is
 delayed by half the configured RTT, dropped independently with loss_prob,
 and adjacent survivors of one flow swap arrival order with reorder_prob.
-The channel randomness is a per-flow substream of the session seed, which
-makes per-flow delivery a function of that flow's datagrams and the seed
-alone; loss in one flow can never perturb another.
+The channel randomness is a substream of the session seed per (flow,
+frame), which makes a flow's delivery in a frame a function of those
+datagrams and the seed alone: loss in one flow can never perturb another,
+and a fragment lost in one frame is drawn afresh in the next.
 
 Traffic traces record the sender's egress, (wire length, send time) per
 datagram, before channel loss: that is the side a traffic-analysis
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import ConfigError, MalformedHeader
@@ -146,31 +148,27 @@ def transmit(
     come back sorted by arrival; traces capture every datagram as sent,
     per flow, ordered by send time, independent of loss.
     """
-    by_flow: dict[CubeId, list[tuple[Datagram, float]]] = {}
-    for dgram, t in sendlist:
-        by_flow.setdefault(dgram.flow_id, []).append((dgram, t))
+    streams: dict[tuple[CubeId, int], list[tuple[Datagram, float]]] = {}
+    records: dict[CubeId, list[tuple[int, float]]] = {}
+    for dgram, t in sorted(sendlist, key=itemgetter(1)):
+        streams.setdefault((dgram.flow_id, dgram.frame_id), []).append((dgram, t))
+        records.setdefault(dgram.flow_id, []).append((FRAG_HEADER_LEN + len(dgram.payload), t))
 
+    half_rtt = cfg.rtt_ms / 2.0
     delivered: list[tuple[Datagram, float]] = []
-    traces: dict[CubeId, TrafficTrace] = {}
-    for flow_id, items in by_flow.items():
-        items.sort(key=lambda p: p[1])
-        trace = TrafficTrace(flow_id, [(d.wire_len, t) for d, t in items])
-        traces[flow_id] = trace
-        rng = Mcg64(mix64(cfg.seed, flow_id[0], flow_id[1], flow_id[2]))
-        survivors = [
-            (d, t + cfg.rtt_ms / 2.0)
-            for d, t in items
-            if rng.next_uniform() >= cfg.loss_prob
-        ]
+    for (flow_id, frame_id), items in streams.items():
+        draw = Mcg64(mix64(cfg.seed, *flow_id, frame_id)).next_uniform
+        survivors = [(d, t + half_rtt) for d, t in items if draw() >= cfg.loss_prob]
         if cfg.reorder_prob > 0.0:
             i = 0
             while i < len(survivors) - 1:
-                if rng.next_uniform() < cfg.reorder_prob:
+                if draw() < cfg.reorder_prob:
                     (d1, t1), (d2, t2) = survivors[i], survivors[i + 1]
                     survivors[i], survivors[i + 1] = (d2, t1), (d1, t2)
                     i += 2
                 else:
                     i += 1
         delivered.extend(survivors)
-    delivered.sort(key=lambda p: p[1])
+    delivered.sort(key=itemgetter(1))
+    traces = {flow_id: TrafficTrace(flow_id, recs) for flow_id, recs in records.items()}
     return delivered, traces

@@ -84,6 +84,13 @@ class CubeSet:
         rows = _unpack_keys(_distinct(np.take(self.point_keys, points)))
         return {CubeId(*row) for row in rows.tolist()}
 
+    def rebuilt_since(self, prev: CubeSet | None) -> set[CubeId]:
+        """Ids of the cubes that are not ``prev``'s object for their id: all
+        of them with no ``prev``, after a re-partition or a point-count
+        change, else the cells a marked point left or entered."""
+        before = {} if prev is None else prev.by_id()
+        return {c.id for c in self.cubes if before.get(c.id) is not c}
+
 
 @dataclass(frozen=True)
 class PartitionConfig:
@@ -289,6 +296,10 @@ def reuse_or_repartition(
     a marked point left or entered are grouped again; the others are
     ``prev``'s Cube objects. The result is the same CubeSet, to the bit, as
     with every point marked.
+
+    The session's mask marks every content change (position, color or
+    label), not only moves, so a cube that is still ``prev``'s object
+    (CubeSet.rebuilt_since) holds the content it held before.
     """
     n = frame.num_points
     origin, edge = prev.grid_origin, prev.grid_edge

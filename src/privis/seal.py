@@ -245,12 +245,13 @@ class NonceRegistry:
 
 
 def serialize_cube(frame: PointCloudFrame, cube: Cube) -> CubePlaintext:
-    """Pack a cube's points into wire plaintext sections."""
+    """Pack a cube's points into wire plaintext sections. np.take gathers
+    the same rows as fancy indexing, several times faster on (N, 3)."""
     idx = cube.point_indices
-    geometry = np.ascontiguousarray(frame.positions[idx], dtype="<f4").tobytes()
+    geometry = np.take(frame.positions, idx, axis=0).astype("<f4").tobytes()
     attrs = np.empty((len(idx), 4), dtype=np.uint8)
-    attrs[:, :3] = frame.colors[idx]
-    attrs[:, 3] = frame.sensitivity[idx]
+    attrs[:, :3] = np.take(frame.colors, idx, axis=0)
+    attrs[:, 3] = np.take(frame.sensitivity, idx)
     return CubePlaintext(geometry, attrs.tobytes())
 
 

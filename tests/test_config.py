@@ -28,7 +28,7 @@ CASES = [
     (ShapingConfig, {}, {"bucket_bytes": 0}, ConfigError),
     (NetConfig, {}, {"mtu": 10}, ConfigError),
     (LeakageConfig, {}, {"window_frames": 0}, ConfigError),
-    (RunConfig, {"mode": "privis", "scene": SceneSpec(**SCENE)}, {"frame_timeout_ms": 0.0}, ConfigError),
+    (RunConfig, {"mode": "privis", "scene": SceneSpec(**SCENE)}, {"mode": "bogus"}, ConfigError),
 ]
 
 

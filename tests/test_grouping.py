@@ -99,12 +99,6 @@ def test_masked_reuse_matches_full_relocation(frames, threshold):
         assert epochs == [0] * (FRAMES // 2 - 1) + [1] * (FRAMES // 2)
 
 
-def _rebuilt(cubes, prev):
-    """Ids of the cubes that are not ``prev``'s objects."""
-    before = prev.by_id()
-    return {c.id for c in cubes.cubes if before.get(c.id) is not c}
-
-
 def _touched(cubes, prev, changed):
     """Cells a changed point left or entered."""
     points = np.flatnonzero(changed)
@@ -112,14 +106,23 @@ def _touched(cubes, prev, changed):
 
 
 def test_reuse_rebuilds_exactly_the_touched_cells(frames):
+    """rebuilt_since names the touched cells under a reused grid, and every
+    cube at frame 0, after a re-partition and after a point-count change."""
     name, frames = frames
     reused = 0
-    prev_frame = frames[0]
-    for cubes, prev, frame in _grouped(frames)[1:]:
-        if cubes.boundary_epoch == prev.boundary_epoch and frame.num_points == prev_frame.num_points:
+    prev_frame = None
+    for cubes, prev, frame in _grouped(frames):
+        ids = {c.id for c in cubes.cubes}
+        if (
+            prev is not None
+            and cubes.boundary_epoch == prev.boundary_epoch
+            and frame.num_points == prev_frame.num_points
+        ):
             touched = _touched(cubes, prev, _changed_mask(frame, prev_frame))
-            assert _rebuilt(cubes, prev) == touched & {c.id for c in cubes.cubes}
+            assert cubes.rebuilt_since(prev) == touched & ids
             reused += 1
+        else:
+            assert cubes.rebuilt_since(prev) == ids
         prev_frame = frame
     assert reused == {"orbit": 11, "churn": 0, "static": 11, "resized": 10}[name]
 
@@ -141,7 +144,7 @@ def test_orbit_spill_rebuilds_cells_points_enter_and_leave():
             and not set(cubes.by_id()[cid].point_indices.tolist()) <= moved
         }
         assert shared, f"frame {i}: no cell holds both moved and unmoved points"
-        assert shared <= _rebuilt(cubes, prev)
+        assert shared <= cubes.rebuilt_since(prev)
         _assert_same_cube_set(cubes, reuse_or_repartition(prev, frame))
 
 
@@ -154,7 +157,7 @@ def test_recolor_only_change_rebuilds_its_cube():
     changed = _changed_mask(frame, frames[0])
     assert np.flatnonzero(changed).tolist() == [123]
     cubes = reuse_or_repartition(prev, frame, PartitionConfig(), changed)
-    assert _rebuilt(cubes, prev) == prev.cube_ids_of(np.array([123]))
+    assert cubes.rebuilt_since(prev) == prev.cube_ids_of(np.array([123]))
     _assert_same_cube_set(cubes, reuse_or_repartition(prev, frame))
 
 

@@ -133,3 +133,18 @@ def test_flow_isolation_dropping_one_flow_leaves_other_intact():
         joint_flow = {d.frag_index for d, _t in joint if d.flow_id == flow}
         assert joint_flow == {d.frag_index for d, _t in solo}
         assert 0 < len(joint_flow) < 50  # the channel dropped some, not all
+
+
+def test_loss_is_drawn_afresh_each_frame():
+    """A one-datagram flow sent frame after frame, as a session sends it,
+    is lost on some frames and delivered on others: the channel stream is
+    seeded per (flow, frame), so a lost fragment is not lost for good."""
+    cfg = NetConfig(loss_prob=0.5, seed=3)
+    outcomes = {len(transmit([(Datagram(FLOW, frame, 0, 1, bytes(10)), 0.0)], cfg)[0]) for frame in range(32)}
+    assert outcomes == {0, 1}
+
+
+def test_trace_of_a_flow_over_several_frames_is_in_send_order():
+    send = [(Datagram(FLOW, frame, 0, 1, bytes(10 + frame)), float(5 - frame)) for frame in range(4)]
+    _, traces = transmit(send, NetConfig())
+    assert traces[FLOW].records == sorted(((d.wire_len, t) for d, t in send), key=lambda r: r[1])
