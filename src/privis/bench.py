@@ -24,9 +24,9 @@ Per-frame stage accounting (wall time, monotonic clock):
     encryption          seal_cube calls only
     decryption          open_cube calls only
     transport_assembly  payload serialization, shaping decisions,
-                        plain-unit framing (noenc), packetization, schedule
-                        merge, receiver intake, plain-unit admission
-                        (noenc), frame composition
+                        plain-unit framing (noenc), packetization, receiver
+                        intake, plain-unit admission (noenc), frame
+                        composition
     total               one bracket around all of the above
 
 Refresh rule: a unit is sealed and sent again when its key rotated this
@@ -200,26 +200,25 @@ class SessionResult:
     failure_log: list = field(default_factory=list)
     summaries: list[FrameSummary] = field(default_factory=list)
     content_digest_by_frame: dict[int, str] = field(default_factory=dict)
-    theta_trace: list[float] = field(default_factory=list)
     sealed_units: dict[tuple[int, CubeId], bytes] = field(default_factory=dict)
 
 
 class _StageClock:
-    """Accumulates wall time per pipeline stage within one frame."""
+    """Accumulates wall time per pipeline stage within one frame; one stage
+    runs at a time."""
 
     def __init__(self):
         self.acc = dict.fromkeys(_STAGES, 0.0)
         self._stage = None
         self._t0 = 0.0
 
-    def start(self, stage: str) -> None:
-        self._stage = stage
-        self._t0 = time.perf_counter()
-
-    def stop(self) -> None:
+    def switch(self, stage: str | None) -> None:
+        """Close the running stage, if any, and open ``stage`` (None opens
+        none)."""
+        now = time.perf_counter()
         if self._stage is not None:
-            self.acc[self._stage] += time.perf_counter() - self._t0
-            self._stage = None
+            self.acc[self._stage] += now - self._t0
+        self._stage, self._t0 = stage, now
 
 
 def _content_digest(plaintexts: dict[CubeId, CubePlaintext]) -> str:
@@ -401,9 +400,7 @@ class Session:
         self.theta = cfg.policy.theta
         self.prev_cubes: CubeSet | None = None
         self.prev_frame: PointCloudFrame | None = None
-        self.window_samples: list[tuple[int, tuple[float, float, float]]] = []
-        self.stage_sums = dict.fromkeys((*_STAGES, "total"), 0.0)
-        self._frames_done = 0
+        self._window_start = 0  # index into result.mi_samples of the open leakage window
 
     def run(self) -> SessionResult:
         for i in range(self.cfg.scene.frame_count):
@@ -411,11 +408,9 @@ class Session:
         return self.finalize()
 
     def finalize(self) -> SessionResult:
-        n = max(1, self._frames_done)
-        self.result.mean = LatencyBreakdown(
-            **{k: self.stage_sums[k] / n * 1e3 for k in _STAGES},
-            total=self.stage_sums["total"] / n * 1e3,
-        )
+        rows = self.result.frame_rows
+        n = max(1, len(rows))
+        self.result.mean = LatencyBreakdown(**{k: sum(r[f"{k}_ms"] for r in rows) / n for k in (*_STAGES, "total")})
         self.result.failure_log = list(self.client.state.failure_log)
         return self.result
 
@@ -430,9 +425,9 @@ class Session:
         t_frame0 = time.perf_counter()
         nominal_time = i * FRAME_INTERVAL_MS
 
-        # stage 1: grouping and scoring (all modes, identical work); the
-        # change mask tells the grid reuse which points need locating again
-        clock.start("saliency_grouping")
+        # grouping and scoring (all modes, identical work); the change mask
+        # tells the grid reuse which points need locating again
+        clock.switch("saliency_grouping")
         changed = _changed_mask(frame, self.prev_frame)
         if prev_cubes is None:
             cubes = partition_frame(frame, cfg.partition.target_cubes)
@@ -442,13 +437,12 @@ class Session:
         rebuilt = cubes.rebuilt_since(prev_cubes)
         by_id = cubes.by_id()
         stable = prev_cubes is not None and cubes.boundary_epoch == prev_cubes.boundary_epoch
-        clock.stop()
 
-        # stage 2: unit plan and key schedule. A unit is refreshed when its
-        # cube was rebuilt or its key rotated this frame. Units are
-        # serialized, sealed and sent in the iteration order of the
-        # `refresh` set, not in plan order; the goldens' `trace` hash pins it.
-        clock.start("key_management")
+        # unit plan and key schedule. A unit is refreshed when its cube was
+        # rebuilt or its key rotated this frame. Units are sent in the
+        # iteration order of the `refresh` set, not in plan order; the
+        # goldens' `trace` hash pins it.
+        clock.switch("key_management")
         plan = {cid: (s, pol) for cid, s, pol in planner.plan(theta, scores, by_id)}
         keys = {}
         refresh: set[CubeId] = set()
@@ -456,41 +450,30 @@ class Session:
             keys[cid], rotated = codec.schedule(cid, i, pol, stable)
             if rotated or cid in rebuilt:
                 refresh.add(cid)
-        clock.stop()
 
-        # transport pass 1: serialize refresh payloads; shaping decisions
-        # (pad lengths) for the flows whose policy has sigma > 0
-        clock.start("transport_assembly")
-        payloads: dict[CubeId, CubePlaintext] = {}
-        pad_lens: dict[CubeId, int] = {}
-        rngs = {}
-        for cid in refresh:
-            pol = plan[cid][1]
-            plain = payloads[cid] = planner.payload(frame, by_id, cid)
-            pad_lens[cid] = 0
-            if self._shape and pol.shaping_strength > 0.0:
-                rng = rngs[cid] = flow_rng(cfg.shaping, cid, i)
-                base = codec.overhead + len(plain.geometry) + len(plain.attributes)
-                pad_lens[cid] = pad_length(base, pol.shaping_strength, cfg.shaping, rng) - base
-        clock.stop()
-
-        # stage 3a: sealing (framing, for plain units)
-        clock.start(codec.seal_stage)
-        units = {cid: codec.encode(payloads[cid], keys[cid], plan[cid][1], i, pad_lens[cid]) for cid in refresh}
-        clock.stop()
-
-        # stage 3b: packetize, shape times, merge
-        clock.start("transport_assembly")
+        # sender, one refreshed unit at a time: payload, pad length (flows
+        # with sigma > 0), seal (framing, for plain units), packetize, shape
+        clock.switch("transport_assembly")
         sendlist: list[tuple[Datagram, float]] = []
+        shaped_units = 0
         for cid in refresh:
             s, pol = plan[cid]
-            unit = units[cid]
+            plain = planner.payload(frame, by_id, cid)
+            rng, pad = None, 0
+            if self._shape and pol.shaping_strength > 0.0:
+                rng = flow_rng(cfg.shaping, cid, i)
+                base = codec.overhead + len(plain.geometry) + len(plain.attributes)
+                pad = pad_length(base, pol.shaping_strength, cfg.shaping, rng) - base
+            clock.switch(codec.seal_stage)
+            unit = codec.encode(plain, keys[cid], pol, i, pad)
+            clock.switch("transport_assembly")
             frags = packetize(unit, cid, i, cfg.net.mtu)
             times = [nominal_time] * len(frags)
             jitters = (0.0,) * len(frags)
-            if cid in rngs:
-                shaped, jit = shape_times(times, pol.shaping_strength, cfg.shaping, rngs[cid])
-                times, jitters = shaped, tuple(jit)
+            if rng is not None:
+                shaped_units += 1
+                times, jit = shape_times(times, pol.shaping_strength, cfg.shaping, rng)
+                jitters = tuple(jit)
             sendlist.extend(zip(frags, times))
             result.unit_records.append(
                 UnitRecord(
@@ -499,7 +482,7 @@ class Session:
                     s=s,
                     level=int(pol.level),
                     sigma=pol.shaping_strength,
-                    base_len=len(unit) - pad_lens[cid],
+                    base_len=len(unit) - pad,
                     padded_len=len(unit),
                     send_times=tuple(times),
                     nominal_time=nominal_time,
@@ -508,8 +491,7 @@ class Session:
             )
             if cfg.keep_units:
                 result.sealed_units[(i, cid)] = unit
-        sendlist.sort(key=lambda p: p[1])
-        clock.stop()
+        clock.switch(None)
 
         # emulated channel (virtual time, not part of the latency budget;
         # its simulation cost is excluded from the frame total below)
@@ -517,41 +499,30 @@ class Session:
         delivered, traces = transmit(sendlist, cfg.net)
         net_cost_s = time.perf_counter() - t_net0
 
-        # receiver intake: replay filter, reassembly
-        clock.start("transport_assembly")
-        completed = []
+        # receiver: replay filter and reassembly per datagram; a unit is
+        # verified (admitted, for plain units) as soon as it completes; then
+        # frame composition
+        clock.switch("transport_assembly")
+        outcomes = {}
         for dgram, arrival in delivered:
             item = codec.receive(client, dgram, arrival)
             if item is not None:
-                completed.append((item, arrival))
-        clock.stop()
-
-        # client: verification (admission, for plain units), then frame
-        # composition
-        clock.start(codec.open_stage)
-        outcomes = {}
-        for item, arrival in completed:
-            out = codec.admit(client, item, arrival)
-            outcomes[out.cube_id] = out
-        clock.stop()
-        clock.start("transport_assembly")
+                clock.switch(codec.open_stage)
+                out = codec.admit(client, item, arrival)
+                outcomes[out.cube_id] = out
+                clock.switch("transport_assembly")
         summary, resolved = frame_compose(i, outcomes, sorted(plan), client.state, now_ms=nominal_time)
-        clock.stop()
+        clock.switch(None)
         result.summaries.append(summary)
 
         total_s = time.perf_counter() - t_frame0 - net_cost_s
-        # leakage samples and adaptation
+        # leakage samples and adaptation over the window since _window_start
         if self._adapt:
-            for cid, trace in traces.items():
-                if trace.packet_count == 0:
-                    continue
-                sample = (int(plan[cid][1].level), trace_features(trace))
-                self.window_samples.append(sample)
-                result.mi_samples.append(sample)
+            result.mi_samples.extend((int(plan[cid][1].level), trace_features(trace)) for cid, trace in traces.items())
             if cfg.adaptation_enabled and (i + 1) % cfg.leakage.window_frames == 0:
-                theta = _run_adaptation(cfg, result, self.window_samples, theta, i, plan, refresh)
-                self.window_samples = []
-        result.theta_trace.append(theta)
+                window = result.mi_samples[self._window_start :]
+                theta = _run_adaptation(cfg, result, window, theta, i, plan, refresh)
+                self._window_start = len(result.mi_samples)
 
         if cfg.content_digests:
             rendered = {
@@ -565,7 +536,7 @@ class Session:
             "frame": i,
             "cubes": len(cubes.cubes),
             "boundary_epoch": cubes.boundary_epoch,
-            "shaped_cubes": len(rngs),
+            "shaped_cubes": shaped_units,
             "sent_units": len(refresh),
             "datagrams_sent": len(sendlist),
             "bytes_sent": bytes_sent,
@@ -579,13 +550,9 @@ class Session:
             row[f"{stage}_ms"] = clock.acc[stage] * 1e3
         row["total_ms"] = total_s * 1e3
         result.frame_rows.append(row)
-        for stage in _STAGES:
-            self.stage_sums[stage] += clock.acc[stage]
-        self.stage_sums["total"] += total_s
 
         self.prev_cubes, self.prev_frame = cubes, frame
         self.theta = theta
-        self._frames_done += 1
 
 
 def run_session(cfg: RunConfig) -> SessionResult:

@@ -125,16 +125,25 @@ class RenderState:
     def log_failure(self, frame_id: int, cube_id: CubeId, reason: str, time_ms: float) -> None:
         self.failure_log.append((frame_id, cube_id, reason, time_ms))
 
+    def hold_over(self, cube_id: CubeId, frame_id: int, reason: str) -> HeldOver | Dropped:
+        """The cube's last verified copy, held over into ``frame_id``; with
+        no verified copy the cube drops for the frame, for ``reason``.
+        Logging is left to the caller."""
+        prior = self.last_verified.get(cube_id)
+        if prior is None:
+            return Dropped(cube_id, frame_id, reason)
+        return HeldOver(cube_id, frame_id, prior[0], prior[1])
+
     def render_newest(
         self, cube_id: CubeId, frame_id: int, plaintext: CubePlaintext, now_ms: float
-    ) -> Admitted | HeldOver:
+    ) -> AdmitOutcome:
         """Make an accepted unit the cube's render copy if it is newer than
         the last verified one. A unit at or below that frame is a replay:
         it is logged and the newer copy holds over."""
         prior = self.last_verified.get(cube_id)
         if prior is not None and frame_id <= prior[0]:
             self.log_failure(frame_id, cube_id, "replay", now_ms)
-            return HeldOver(cube_id, frame_id, prior[0], prior[1])
+            return self.hold_over(cube_id, frame_id, "replay")
         self.last_verified[cube_id] = (frame_id, plaintext)
         return Admitted(cube_id, frame_id, plaintext)
 
@@ -148,9 +157,8 @@ def admit_cube(
     """Verify one reassembled cube and update render state.
 
     The key is derived from the header's (cube id, epoch) on every admit,
-    so the client keeps no key state; verification failure yields HeldOver
-    when a prior verified version exists, Dropped otherwise, and is always
-    logged. A unit that verifies renders by RenderState.render_newest.
+    so the client keeps no key state; verification failure is always
+    logged and resolves by RenderState.hold_over. A unit that verifies renders by RenderState.render_newest.
     """
     cid = sealed.cube_id
     try:
@@ -158,10 +166,7 @@ def admit_cube(
     except (AuthFailure, MalformedHeader) as e:
         reason = "auth_failure" if isinstance(e, AuthFailure) else "malformed"
         state.log_failure(sealed.frame_id, cid, reason, now_ms)
-        prior = state.last_verified.get(cid)
-        if prior is not None:
-            return HeldOver(cid, sealed.frame_id, prior[0], prior[1])
-        return Dropped(cid, sealed.frame_id, reason)
+        return state.hold_over(cid, sealed.frame_id, reason)
     return state.render_newest(cid, sealed.frame_id, plaintext, now_ms)
 
 
@@ -185,11 +190,11 @@ def frame_compose(
     state: RenderState,
     now_ms: float = 0.0,
 ) -> tuple[FrameSummary, dict[CubeId, AdmitOutcome]]:
-    """Resolve a frame once all flows finished or timed out.
+    """Resolve a frame once every datagram delivered for it was taken in.
 
     Expected cubes with no outcome (nothing arrived, or the flow was not
-    refreshed this frame) hold over their last verified version when one
-    exists; without history they are dropped and logged. Conservation:
+    refreshed this frame) resolve by RenderState.hold_over; the ones that
+    drop are logged as missing. Conservation:
     admitted + held + dropped equals the expected cube count.
     """
     resolved: dict[CubeId, AdmitOutcome] = {}
@@ -197,11 +202,8 @@ def frame_compose(
     for cid in expected_cubes:
         out = outcomes.get(cid)
         if out is None:
-            prior = state.last_verified.get(cid)
-            if prior is not None:
-                out = HeldOver(cid, frame_id, prior[0], prior[1])
-            else:
-                out = Dropped(cid, frame_id, "missing")
+            out = state.hold_over(cid, frame_id, "missing")
+            if isinstance(out, Dropped):
                 state.log_failure(frame_id, cid, "missing", now_ms)
         resolved[cid] = out
         if isinstance(out, Admitted):
@@ -288,7 +290,7 @@ class Client:
 
     def admit_plain(
         self, cube_id: CubeId, frame_id: int, plaintext: CubePlaintext, now_ms: float = 0.0
-    ) -> Admitted | HeldOver:
+    ) -> AdmitOutcome:
         """Admit an unencrypted unit (raw streaming): there is nothing to
         verify, so it goes straight to RenderState.render_newest, the rule
         admit_cube applies to a unit that verifies."""

@@ -256,5 +256,5 @@ def test_root_key_from_environment(monkeypatch, tmp_path):
 def test_theta_trace_non_increasing_within_session():
     cfg = small_cfg("privis", leakage=replace(small_cfg().leakage, window_frames=3))
     r = run_session(cfg)
-    trace = r.theta_trace
+    trace = [row["theta"] for row in r.frame_rows]
     assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))

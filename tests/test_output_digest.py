@@ -85,7 +85,8 @@ def output_digests(case: str) -> dict[str, str]:
         trace.update(repr(astuple(rec)).encode())
     for row in result.frame_rows:
         trace.update(repr([(k, v) for k, v in row.items() if not k.endswith("_ms")]).encode())
-    for part in (result.mi_samples, result.leakage_windows, result.theta_trace, result.failure_log):
+    theta_trace = [row["theta"] for row in result.frame_rows]
+    for part in (result.mi_samples, result.leakage_windows, theta_trace, result.failure_log):
         trace.update(repr(part).encode())
     trace.update(repr([astuple(s) for s in result.summaries]).encode())
     return {"units": units.hexdigest(), "rendered": rendered.hexdigest(), "trace": trace.hexdigest()}
