@@ -13,7 +13,10 @@ and adjacent survivors of one flow swap arrival order with reorder_prob.
 The channel randomness is a substream of the session seed per (flow,
 frame), which makes a flow's delivery in a frame a function of those
 datagrams and the seed alone: loss in one flow can never perturb another,
-and a fragment lost in one frame is drawn afresh in the next.
+and a fragment lost in one frame is drawn afresh in the next. A fixed
+channel constant is mixed into that seed, so a channel seeded like the
+sender's shaping (shaping.flow_rng) still draws a stream of its own, and
+a fragment's loss does not follow its shaping draws.
 
 Traffic traces record the sender's egress, (wire length, send time) per
 datagram, before channel loss: that is the side a traffic-analysis
@@ -43,6 +46,7 @@ __all__ = [
 
 _FRAG = struct.Struct("<iiiQHH")
 FRAG_HEADER_LEN = _FRAG.size  # 24
+_CHANNEL_STREAM = 0x6368616E6E656C  # "channel": keeps channel draws apart from shaping's
 
 
 @dataclass(frozen=True)
@@ -157,7 +161,7 @@ def transmit(
     half_rtt = cfg.rtt_ms / 2.0
     delivered: list[tuple[Datagram, float]] = []
     for (flow_id, frame_id), items in streams.items():
-        draw = Mcg64(mix64(cfg.seed, *flow_id, frame_id)).next_uniform
+        draw = Mcg64(mix64(_CHANNEL_STREAM, cfg.seed, *flow_id, frame_id)).next_uniform
         survivors = [(d, t + half_rtt) for d, t in items if draw() >= cfg.loss_prob]
         if cfg.reorder_prob > 0.0:
             i = 0

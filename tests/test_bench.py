@@ -1,5 +1,6 @@
 import csv
 import os
+import statistics
 from dataclasses import replace
 
 import pytest
@@ -258,3 +259,17 @@ def test_theta_trace_non_increasing_within_session():
     r = run_session(cfg)
     trace = [row["theta"] for row in r.frame_rows]
     assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_mean_is_the_mean_of_the_frame_rows(mode):
+    r = run_session(small_cfg(mode))
+    for stage, value in r.mean.as_dict().items():
+        assert value == pytest.approx(statistics.fmean(row[f"{stage}_ms"] for row in r.frame_rows)), stage
+
+
+def test_leakage_windows_cover_every_mi_sample():
+    cfg = small_cfg("privis", leakage=replace(small_cfg().leakage, window_frames=3))
+    r = run_session(replace(cfg, scene=replace(SMALL, frame_count=9)))
+    assert len(r.leakage_windows) == 3
+    assert sum(w["samples"] for w in r.leakage_windows) == len(r.mi_samples)

@@ -13,6 +13,7 @@ from privis.netw import (
 )
 from privis.partition import CubeId
 from privis.rng import Mcg64
+from privis.shaping import ShapingConfig, flow_rng
 
 FLOW = CubeId(1, 2, 3)
 
@@ -148,3 +149,19 @@ def test_trace_of_a_flow_over_several_frames_is_in_send_order():
     send = [(Datagram(FLOW, frame, 0, 1, bytes(10 + frame)), float(5 - frame)) for frame in range(4)]
     _, traces = transmit(send, NetConfig())
     assert traces[FLOW].records == sorted(((d.wire_len, t) for d, t in send), key=lambda r: r[1])
+
+
+def test_channel_loss_does_not_follow_the_shaping_draws():
+    # Channel and shaping share a seed, as the CLI and the benchmark set
+    # them. A one-fragment flow is lost in a frame about as often when its
+    # first shaping draw is below loss_prob as when it is not.
+    seed, frames = 9, 64
+    cfg = NetConfig(loss_prob=0.5, seed=seed)
+    shaping = ShapingConfig(rng_seed=seed)
+    agree = 0
+    for frame in range(frames):
+        (dgram,) = packetize(bytes(100), FLOW, frame)
+        delivered, _ = transmit([(dgram, 0.0)], cfg)
+        shaping_says_lost = flow_rng(shaping, FLOW, frame).next_uniform() < cfg.loss_prob
+        agree += (not delivered) == shaping_says_lost
+    assert 16 <= agree <= 48, agree
