@@ -410,7 +410,8 @@ class Session:
     def finalize(self) -> SessionResult:
         rows = self.result.frame_rows
         n = max(1, len(rows))
-        self.result.mean = LatencyBreakdown(**{k: sum(r[f"{k}_ms"] for r in rows) / n for k in (*_STAGES, "total")})
+        stages = (*_STAGES, "total")
+        self.result.mean = LatencyBreakdown(**{k: sum(r[f"{k}_ms"] for r in rows) / n for k in stages})
         self.result.failure_log = list(self.client.state.failure_log)
         return self.result
 
@@ -518,7 +519,8 @@ class Session:
         total_s = time.perf_counter() - t_frame0 - net_cost_s
         # leakage samples and adaptation over the window since _window_start
         if self._adapt:
-            result.mi_samples.extend((int(plan[cid][1].level), trace_features(trace)) for cid, trace in traces.items())
+            for cid, trace in traces.items():
+                result.mi_samples.append((int(plan[cid][1].level), trace_features(trace)))
             if cfg.adaptation_enabled and (i + 1) % cfg.leakage.window_frames == 0:
                 window = result.mi_samples[self._window_start :]
                 theta = _run_adaptation(cfg, result, window, theta, i, plan, refresh)

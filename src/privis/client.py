@@ -157,8 +157,9 @@ def admit_cube(
     """Verify one reassembled cube and update render state.
 
     The key is derived from the header's (cube id, epoch) on every admit,
-    so the client keeps no key state; verification failure is always
-    logged and resolves by RenderState.hold_over. A unit that verifies renders by RenderState.render_newest.
+    so the client keeps no key state. Verification failure is always
+    logged and resolves by RenderState.hold_over; a unit that verifies
+    renders by RenderState.render_newest.
     """
     cid = sealed.cube_id
     try:
@@ -194,8 +195,8 @@ def frame_compose(
 
     Expected cubes with no outcome (nothing arrived, or the flow was not
     refreshed this frame) resolve by RenderState.hold_over; the ones that
-    drop are logged as missing. Conservation:
-    admitted + held + dropped equals the expected cube count.
+    drop are logged as missing. Conservation: admitted + held + dropped
+    equals the expected cube count.
     """
     resolved: dict[CubeId, AdmitOutcome] = {}
     admitted = held = dropped = points = 0
