@@ -80,9 +80,7 @@ from .policy import (
 )
 from .saliency import SaliencyConfig, score_cubes
 from .seal import (
-    HEADER_LEN,
-    NONCE_LEN,
-    TAG_LEN,
+    SEAL_OVERHEAD,
     CubePlaintext,
     NonceRegistry,
     SealedCube,
@@ -346,7 +344,7 @@ class _SealedCodec:
     the key schedule rotates; the client verifies before anything renders."""
 
     seal_stage, open_stage = "encryption", "decryption"
-    overhead = HEADER_LEN + NONCE_LEN + TAG_LEN
+    overhead = SEAL_OVERHEAD
     ring: KeyRing
     registry: NonceRegistry
 

@@ -238,7 +238,7 @@ class Client:
         if unit is None:
             return None
         try:
-            # from_bytes validates the declared pad length and discards the pad
+            # from_bytes checks the declared lengths; the pad stays as received
             sealed = SealedCube.from_bytes(unit)
         except MalformedHeader:
             self.state.log_failure(dgram.frame_id, dgram.flow_id, "malformed", arrival_ms)

@@ -20,13 +20,17 @@ Wire layout, little-endian throughout:
     padding             pad_len zero bytes (shaping cover, unauthenticated)
 
 The cipher is AES-256-GCM. The header is always authenticated as
-associated data; under geometry-only scope the cleartext attributes are
-appended to the associated data, so scope changes confidentiality
-coverage but never integrity coverage. Nonces are deterministic:
-4 bytes of SHA-256 over the packed cube id, then the frame id as u64.
-Keys are per (cube, epoch), so a (key, nonce) pair repeats only when a
-cube seals the same (epoch, frame) twice; the session's NonceRegistry
-enforces that each cube's (epoch, frame) strictly rises.
+associated data, as the bytes received: the opener never packs it again
+from the parsed fields. Under geometry-only scope the cleartext
+attributes are appended to the associated data, so scope changes
+confidentiality coverage but never integrity coverage. A parsed unit
+keeps its pad bytes as they were sent; only their count is covered.
+
+Nonces are deterministic: 4 bytes of SHA-256 over the packed cube id,
+then the frame id as u64. Keys are per (cube, epoch), so a (key, nonce)
+pair repeats only when a cube seals the same (epoch, frame) twice; the
+session's NonceRegistry enforces that each cube's (epoch, frame)
+strictly rises.
 
 Saliency metadata (the level byte) rides in the clear; the shaping module
 addresses what an observer can do with traffic patterns, and the residual
@@ -62,6 +66,7 @@ __all__ = [
     "HEADER_LEN",
     "NONCE_LEN",
     "TAG_LEN",
+    "SEAL_OVERHEAD",
     "MAGIC",
 ]
 
@@ -70,6 +75,8 @@ _HEADER = struct.Struct("<4s16sQiiiQBBIII")
 HEADER_LEN = _HEADER.size  # 62
 NONCE_LEN = 12
 TAG_LEN = 16
+SEAL_OVERHEAD = HEADER_LEN + NONCE_LEN + TAG_LEN
+_BODY = HEADER_LEN + NONCE_LEN  # where the ciphertext starts
 
 _GEOMETRY_STRIDE = 12  # 3 x float32
 _ATTR_STRIDE = 4  # r, g, b, label
@@ -95,69 +102,55 @@ class CubePlaintext:
         return len(self.geometry) // _GEOMETRY_STRIDE
 
 
-def _pack_header(
-    session_id: bytes,
-    frame_id: int,
-    cube_id: CubeId,
-    epoch: int,
-    level: int,
-    scope: Scope,
-    plain_attr_len: int,
-    cipher_len: int,
-    pad_len: int,
-) -> bytes:
-    """The 62-byte unit header; it is the start of the AEAD's associated
-    data, so sealing and opening must pack it the same way."""
-    return _HEADER.pack(
-        MAGIC, session_id, frame_id, *cube_id, epoch, int(level), int(scope),
-        plain_attr_len, cipher_len, pad_len,
-    )
-
-
 @dataclass(frozen=True)
 class SealedCube:
+    """A sealed unit as it is on the wire, and its parsed header fields.
+
+    ``wire`` is the unit's one copy: the nonce, ciphertext, clear
+    attributes and tag are slices of it, and ``to_bytes`` returns it
+    unchanged, pad bytes included.
+    """
+
+    wire: bytes
     session_id: bytes
     frame_id: int
     cube_id: CubeId
     epoch: int
     level: int
     scope: Scope
-    nonce: bytes
-    ciphertext: bytes
-    plain_attributes: bytes
-    tag: bytes
-    pad_len: int = 0
+    plain_attr_len: int
+    cipher_len: int
+    pad_len: int
 
-    def header_bytes(self) -> bytes:
-        return _pack_header(
-            self.session_id, self.frame_id, self.cube_id, self.epoch, self.level, self.scope,
-            len(self.plain_attributes), len(self.ciphertext), self.pad_len,
-        )
+    @property
+    def nonce(self) -> bytes:
+        return self.wire[HEADER_LEN:_BODY]
+
+    @property
+    def ciphertext(self) -> bytes:
+        return self.wire[_BODY : _BODY + self.cipher_len]
+
+    @property
+    def plain_attributes(self) -> bytes:
+        off = _BODY + self.cipher_len
+        return self.wire[off : off + self.plain_attr_len]
+
+    @property
+    def tag(self) -> bytes:
+        off = _BODY + self.cipher_len + self.plain_attr_len
+        return self.wire[off : off + TAG_LEN]
 
     def to_bytes(self) -> bytes:
-        return (
-            self.header_bytes()
-            + self.nonce
-            + self.ciphertext
-            + self.plain_attributes
-            + self.tag
-            + bytes(self.pad_len)
-        )
+        return self.wire
 
     @property
     def wire_len(self) -> int:
-        return (
-            HEADER_LEN
-            + NONCE_LEN
-            + len(self.ciphertext)
-            + len(self.plain_attributes)
-            + TAG_LEN
-            + self.pad_len
-        )
+        return len(self.wire)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "SealedCube":
-        if len(data) < HEADER_LEN + NONCE_LEN + TAG_LEN:
+        data = bytes(data)
+        if len(data) < SEAL_OVERHEAD:
             raise MalformedHeader(f"unit truncated at {len(data)} bytes")
         (
             magic,
@@ -179,29 +172,12 @@ class SealedCube:
             raise MalformedHeader(f"bad scope {scope}")
         if level > int(ProtectionLevel.HIGH):
             raise MalformedHeader(f"bad level {level}")
-        expected = HEADER_LEN + NONCE_LEN + cipher_len + plain_attr_len + TAG_LEN + pad_len
+        expected = SEAL_OVERHEAD + cipher_len + plain_attr_len + pad_len
         if len(data) != expected:
             raise MalformedHeader(f"length mismatch: header says {expected}, unit is {len(data)}")
-        off = HEADER_LEN
-        nonce = data[off : off + NONCE_LEN]
-        off += NONCE_LEN
-        ciphertext = data[off : off + cipher_len]
-        off += cipher_len
-        plain_attrs = data[off : off + plain_attr_len]
-        off += plain_attr_len
-        tag = data[off : off + TAG_LEN]
         return cls(
-            session_id=session_id,
-            frame_id=frame_id,
-            cube_id=CubeId(ix, iy, iz),
-            epoch=epoch,
-            level=level,
-            scope=Scope(scope),
-            nonce=nonce,
-            ciphertext=ciphertext,
-            plain_attributes=plain_attrs,
-            tag=tag,
-            pad_len=pad_len,
+            data, session_id, frame_id, CubeId(ix, iy, iz), epoch, level, Scope(scope),
+            plain_attr_len, cipher_len, pad_len,
         )
 
 
@@ -282,37 +258,37 @@ def seal_cube(
     else:
         plaintext = plain.geometry
         plain_attrs = plain.attributes
-    # GCM ciphertext is as long as its plaintext
-    header = _pack_header(
-        session_id, frame_id, key.cube_id, key.epoch, policy.level, policy.scope,
+    header = _HEADER.pack(
+        MAGIC, session_id, frame_id, *key.cube_id, key.epoch, int(policy.level), int(policy.scope),
         len(plain_attrs), len(plaintext), pad_len,
     )
-    aad = header + plain_attrs
-    out = _aead(key.key).encrypt(nonce, plaintext, aad)
+    # GCM output is the ciphertext, as long as its plaintext, then the tag
+    out = memoryview(_aead(key.key).encrypt(nonce, plaintext, header + plain_attrs))
+    wire = b"".join((header, nonce, out[:-TAG_LEN], plain_attrs, out[-TAG_LEN:], bytes(pad_len)))
     return SealedCube(
-        session_id=session_id,
-        frame_id=frame_id,
-        cube_id=key.cube_id,
-        epoch=key.epoch,
-        level=int(policy.level),
-        scope=policy.scope,
-        nonce=nonce,
-        ciphertext=out[:-TAG_LEN],
-        plain_attributes=plain_attrs,
-        tag=out[-TAG_LEN:],
-        pad_len=pad_len,
+        wire, session_id, frame_id, key.cube_id, key.epoch, int(policy.level), policy.scope,
+        len(plain_attrs), len(plaintext), pad_len,
     )
 
 
 def open_cube(sealed: SealedCube, key: bytes) -> CubePlaintext:
     """Verify and decrypt; raises AuthFailure without releasing plaintext.
 
-    ``key`` must be derived from the header's (cube_id, epoch); the header
-    itself is covered by the tag, so any header tamper fails here.
+    ``key`` must be derived from the header's (cube_id, epoch). The header
+    is authenticated as received, so any header tamper fails here. Without
+    clear attributes the ciphertext and tag are contiguous in the wire and
+    are decrypted in place; geometry-only units hold the attributes
+    between them, so those two are joined first.
     """
-    aad = sealed.header_bytes() + sealed.plain_attributes
+    wire = memoryview(sealed.wire)
+    ct_end = _BODY + sealed.cipher_len
+    tag_at = ct_end + sealed.plain_attr_len
+    aad, data = wire[:HEADER_LEN], wire[_BODY : tag_at + TAG_LEN]
+    if sealed.plain_attr_len:
+        aad = b"".join((aad, wire[ct_end:tag_at]))
+        data = b"".join((wire[_BODY:ct_end], wire[tag_at : tag_at + TAG_LEN]))
     try:
-        plaintext = _aead(key).decrypt(sealed.nonce, sealed.ciphertext + sealed.tag, aad)
+        plaintext = _aead(key).decrypt(wire[HEADER_LEN:_BODY], data, aad)
     except InvalidTag:
         raise AuthFailure(
             f"cube {tuple(sealed.cube_id)} frame {sealed.frame_id}: tag verification failed"

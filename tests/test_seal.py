@@ -12,6 +12,7 @@ from privis.rng import Mcg64
 from privis.seal import (
     HEADER_LEN,
     NONCE_LEN,
+    SEAL_OVERHEAD,
     TAG_LEN,
     CubePlaintext,
     NonceRegistry,
@@ -48,14 +49,15 @@ def test_golden_sealed_units_byte_exact():
     key = KeyEpoch(cube, g["epoch"], derive_key(root, cube, g["epoch"]), 0)
     plain = CubePlaintext(bytes.fromhex(g["geometry"]), bytes.fromhex(g["attributes"]))
 
-    full = seal_cube(plain, key, FULL, g["frame_id"], root.session_id)
-    assert full.to_bytes().hex() == g["units"]["full_payload"]
-
-    geom = seal_cube(plain, key, GEOM, g["frame_id"], root.session_id)
-    assert geom.to_bytes().hex() == g["units"]["geometry_only"]
-
-    empty = seal_cube(CubePlaintext(b"", b""), key, FULL, g["frame_id"], root.session_id)
-    assert empty.to_bytes().hex() == g["units"]["empty_full_payload"]
+    units = {
+        "full_payload": seal_cube(plain, key, FULL, g["frame_id"], root.session_id),
+        "geometry_only": seal_cube(plain, key, GEOM, g["frame_id"], root.session_id),
+        "empty_full_payload": seal_cube(CubePlaintext(b"", b""), key, FULL, g["frame_id"], root.session_id),
+    }
+    for name, sealed in units.items():
+        wire = sealed.to_bytes()
+        assert wire.hex() == g["units"][name]
+        assert SealedCube.from_bytes(wire).to_bytes() == wire
 
 
 def test_nonce_layout():
@@ -156,15 +158,21 @@ def test_bad_magic_rejected():
 
 
 def test_pad_bytes_round_trip_and_strip():
+    """The sealer pads with zeros. The pad is not authenticated, so a unit
+    whose pad bytes were rewritten on the path still opens, and its parsed
+    form gives back the bytes as received."""
     cube = CubeId(5, 0, 5)
     plain = CubePlaintext(bytes(36), bytes(12))
     sealed = seal_cube(plain, key_for(cube), FULL, 2, ROOT.session_id, pad_len=100)
     wire = sealed.to_bytes()
-    assert len(wire) == HEADER_LEN + NONCE_LEN + len(plain.geometry) + len(plain.attributes) + TAG_LEN + 100
+    assert len(wire) == SEAL_OVERHEAD + len(plain.geometry) + len(plain.attributes) + 100
     assert wire[-100:] == bytes(100)
-    parsed = SealedCube.from_bytes(wire)
-    assert parsed.pad_len == 100
-    assert open_cube(parsed, key_for(cube).key) == plain
+    for pad in (bytes(100), bytes(range(1, 101))):
+        received = wire[:-100] + pad
+        parsed = SealedCube.from_bytes(received)
+        assert parsed.pad_len == 100
+        assert parsed.to_bytes() == received
+        assert open_cube(parsed, key_for(cube).key) == plain
 
 
 def test_nonce_registry_detects_reuse():
