@@ -56,5 +56,4 @@ result = run_session(leaky)
 print("with ineffective padding, the threshold tightens every window:")
 for w in result.leakage_windows:
     print(f"  window ending frame {w['window_end_frame']:2d}: MI {w['mi_bits']:.3f} bits "
-          f"> {w['epsilon']} -> theta {w['theta_after']:.1f}, "
-          f"{w['retransmitted_units']} units re-sent")
+          f"> {w['epsilon']} -> theta {w['theta_after']:.1f}")

@@ -521,7 +521,7 @@ class Session:
                 result.mi_samples.append((int(plan[cid][1].level), trace_features(trace)))
             if cfg.adaptation_enabled and (i + 1) % cfg.leakage.window_frames == 0:
                 window = result.mi_samples[self._window_start :]
-                theta = _run_adaptation(cfg, result, window, theta, i, plan, refresh)
+                theta = _run_adaptation(cfg, result, window, theta, i)
                 self._window_start = len(result.mi_samples)
 
         if cfg.content_digests:
@@ -560,18 +560,12 @@ def run_session(cfg: RunConfig) -> SessionResult:
     return Session(cfg).run()
 
 
-def _run_adaptation(cfg, result, window_samples, theta, frame_idx, plan, sent):
-    """Stage-4 window close: estimate MI and tighten theta on violation.
-    The units of the closing frame that score above the new theta are the
-    window's critical units; they are counted in ``retransmitted_units``
-    but not sent again, so wire bytes stay what the frame sent."""
+def _run_adaptation(cfg, result, window_samples, theta, frame_idx):
+    """Stage-4 window close: estimate MI and tighten theta on violation."""
     if len(window_samples) < 2:
         return theta
     report = estimate_mi(window_samples, cfg.leakage)
     new_theta = leakage_check_and_adapt(report, theta, cfg.leakage)
-    retransmitted = 0
-    if report.violated:
-        retransmitted = sum(1 for cid, (s, _pol) in plan.items() if cid in sent and s > new_theta)
     result.leakage_windows.append(
         {
             "window_end_frame": frame_idx,
@@ -581,7 +575,6 @@ def _run_adaptation(cfg, result, window_samples, theta, frame_idx, plan, sent):
             "epsilon": report.epsilon,
             "violated": report.violated,
             "theta_after": new_theta,
-            "retransmitted_units": retransmitted,
         }
     )
     return new_theta
