@@ -24,10 +24,10 @@ t0 = time.perf_counter()
 comparison = compare_modes(base)
 wall = time.perf_counter() - t0
 
-modes = ("noenc", "uniform", "privis")
-print(f"{'component':<22}" + "".join(f"{m:>12}" for m in modes))
-for row in comparison.table:
-    print(f"{row['component']:<22}" + "".join(f"{row[m]:12.3f}" for m in modes))
+means = {m: r.mean.as_dict() for m, r in comparison.results.items()}
+print(f"{'component':<22}" + "".join(f"{m:>12}" for m in means))
+for stage in means["noenc"]:
+    print(f"{stage:<22}" + "".join(f"{means[m][stage]:12.3f}" for m in means))
 
 print(f"\nprivis - noenc:  {comparison.privis_minus_noenc:7.3f} ms")
 print(f"uniform - noenc: {comparison.uniform_minus_noenc:7.3f} ms")

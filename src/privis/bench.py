@@ -583,7 +583,6 @@ def _run_adaptation(cfg, result, window_samples, theta, frame_idx):
 @dataclass
 class ComparisonResult:
     results: dict[str, SessionResult]
-    table: list[dict]
     ordering_ok: bool
     privis_minus_noenc: float
     uniform_minus_noenc: float
@@ -625,19 +624,12 @@ def compare_modes(base: RunConfig, modes: tuple[str, ...] = MODES) -> Comparison
             gc.enable()
         gc.collect()
     results = {mode: sessions[mode].finalize() for mode in modes}
-    table = []
-    for stage in (*_STAGES, "total"):
-        row = {"component": stage}
-        for mode in modes:
-            row[mode] = getattr(results[mode].mean, stage)
-        table.append(row)
     noenc = results["noenc"].mean.total
     uniform = results["uniform"].mean.total
     privis = results["privis"].mean.total
     ordering_ok = noenc <= privis <= uniform
     return ComparisonResult(
         results=results,
-        table=table,
         ordering_ok=ordering_ok,
         privis_minus_noenc=privis - noenc,
         uniform_minus_noenc=uniform - noenc,
