@@ -149,7 +149,6 @@ class SealedCube:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "SealedCube":
-        data = bytes(data)
         if len(data) < SEAL_OVERHEAD:
             raise MalformedHeader(f"unit truncated at {len(data)} bytes")
         (
