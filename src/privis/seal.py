@@ -43,6 +43,7 @@ import hashlib
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -102,8 +103,7 @@ class CubePlaintext:
         return len(self.geometry) // _GEOMETRY_STRIDE
 
 
-@dataclass(frozen=True)
-class SealedCube:
+class SealedCube(NamedTuple):
     """A sealed unit as it is on the wire, and its parsed header fields.
 
     ``wire`` is the unit's one copy: the nonce, ciphertext, clear
