@@ -7,6 +7,9 @@ the session id as salt and an info string binding the cube id and epoch:
     info = "privis/cube" || ix || iy || iz (int32 LE each) || epoch (u64 LE)
     key  = HKDF(root, salt, info, 32 bytes)
 
+The extract step depends only on the root and the salt, so it runs once
+per root; each key is one HKDF-Expand of that pseudorandom key.
+
 Both sides derive keys independently from the shared root plus the sealed
 unit's header fields; no key material ever crosses the wire. Rotation
 happens when the policy interval elapses, when cube boundaries change
@@ -22,12 +25,14 @@ all epochs. The scheme matches the declared scope of this transport layer.
 from __future__ import annotations
 
 import hashlib
+import hmac
 import os
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from cryptography.hazmat.primitives.hashes import SHA256
-from cryptography.hazmat.primitives.kdf.hkdf import HKDF
+from cryptography.hazmat.primitives.kdf.hkdf import HKDFExpand
 
 from .errors import ValidationError
 from .partition import CubeId
@@ -48,6 +53,12 @@ class RootKey:
             raise ValidationError("root key must be 32 bytes")
         if len(self.session_id) != 16:
             raise ValidationError("session id must be 16 bytes")
+
+    @cached_property
+    def _prk(self) -> bytes:
+        """HKDF-Extract (RFC 5869 section 2.2): HMAC-SHA-256 keyed by the
+        salt, over the root key material."""
+        return hmac.digest(self.session_id, self.key_material, "sha256")
 
     @classmethod
     def generate(cls) -> "RootKey":
@@ -76,7 +87,7 @@ def derive_key(root: RootKey, cube_id: CubeId, epoch: int) -> bytes:
     if epoch < 0:
         raise ValidationError("epoch must be >= 0")
     info = _INFO_PREFIX + struct.pack("<iiiQ", *cube_id, epoch)
-    return HKDF(SHA256(), 32, root.session_id, info).derive(root.key_material)
+    return HKDFExpand(SHA256(), 32, info).derive(root._prk)
 
 
 @dataclass
