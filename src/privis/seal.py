@@ -185,9 +185,12 @@ def _nonce_prefix(cube_id: CubeId) -> bytes:
     return hashlib.sha256(struct.pack("<iii", *cube_id)).digest()[:4]
 
 
+_NONCE = struct.Struct("<4sQ")
+
+
 def nonce_for(cube_id: CubeId, frame_id: int) -> bytes:
     """Deterministic nonce: cube-id hash prefix plus the frame counter."""
-    return _nonce_prefix(cube_id) + struct.pack("<Q", frame_id)
+    return _NONCE.pack(_nonce_prefix(cube_id), frame_id)
 
 
 @lru_cache(maxsize=4096)
@@ -220,13 +223,14 @@ class NonceRegistry:
 
 
 def serialize_cube(frame: PointCloudFrame, cube: Cube) -> CubePlaintext:
-    """Pack a cube's points into wire plaintext sections. np.take gathers
-    the same rows as fancy indexing, several times faster on (N, 3)."""
+    """Pack a cube's points into wire plaintext sections. ``take`` gathers
+    the same rows as fancy indexing, several times faster on (N, 3); the
+    array method skips the ``np.take`` wrapper, about 0.5 us a call."""
     idx = cube.point_indices
-    geometry = np.take(frame.positions, idx, axis=0).astype("<f4").tobytes()
+    geometry = frame.positions.take(idx, axis=0).astype("<f4").tobytes()
     attrs = np.empty((len(idx), 4), dtype=np.uint8)
-    attrs[:, :3] = np.take(frame.colors, idx, axis=0)
-    attrs[:, 3] = np.take(frame.sensitivity, idx)
+    attrs[:, :3] = frame.colors.take(idx, axis=0)
+    attrs[:, 3] = frame.sensitivity.take(idx)
     return CubePlaintext(geometry, attrs.tobytes())
 
 
@@ -248,25 +252,29 @@ def seal_cube(
     """
     if pad_len < 0:
         raise ValidationError("pad_len must be >= 0")
-    nonce = nonce_for(key.cube_id, frame_id)
+    cube_id, epoch = key.cube_id, key.epoch
+    nonce = nonce_for(cube_id, frame_id)
     if registry is not None:
         registry.register(key, frame_id)
-    if policy.scope is Scope.FULL_PAYLOAD:
-        plaintext = plain.geometry + plain.attributes
-        plain_attrs = b""
+    level, scope = int(policy.level), policy.scope
+    if scope is Scope.FULL_PAYLOAD:
+        plaintext, plain_attrs = plain.geometry + plain.attributes, b""
     else:
-        plaintext = plain.geometry
-        plain_attrs = plain.attributes
+        plaintext, plain_attrs = plain.geometry, plain.attributes
+    attr_len, cipher_len = len(plain_attrs), len(plaintext)
     header = _HEADER.pack(
-        MAGIC, session_id, frame_id, *key.cube_id, key.epoch, int(policy.level), int(policy.scope),
-        len(plain_attrs), len(plaintext), pad_len,
+        MAGIC, session_id, frame_id, *cube_id, epoch, level, scope, attr_len, cipher_len, pad_len
     )
-    # GCM output is the ciphertext, as long as its plaintext, then the tag
-    out = memoryview(_aead(key.key).encrypt(nonce, plaintext, header + plain_attrs))
-    wire = b"".join((header, nonce, out[:-TAG_LEN], plain_attrs, out[-TAG_LEN:], bytes(pad_len)))
+    # GCM output is the ciphertext, as long as its plaintext, then the tag;
+    # clear attributes go between the two
+    out = _aead(key.key).encrypt(nonce, plaintext, header + plain_attrs)
+    if attr_len:
+        out = memoryview(out)
+        wire = b"".join((header, nonce, out[:-TAG_LEN], plain_attrs, out[-TAG_LEN:], bytes(pad_len)))
+    else:
+        wire = b"".join((header, nonce, out, bytes(pad_len)))
     return SealedCube(
-        wire, session_id, frame_id, key.cube_id, key.epoch, int(policy.level), policy.scope,
-        len(plain_attrs), len(plaintext), pad_len,
+        wire, session_id, frame_id, cube_id, epoch, level, scope, attr_len, cipher_len, pad_len
     )
 
 
