@@ -22,7 +22,12 @@ Per-frame stage accounting (wall time, monotonic clock):
     key_management      unit plan (policy assignment, budget pass), key
                         schedule
     encryption          seal_cube calls only
-    decryption          open_cube calls only
+    decryption          Client.admit per completed unit: the receiver's
+                        derive_key, open_cube, and the RenderState update
+                        or hold-over with its failure log. seal.py caches
+                        AESGCM objects per key for the whole process, so
+                        in process the receiver reuses the ones the sender
+                        built: their construction lands in encryption
     transport_assembly  payload serialization, shaping decisions,
                         plain-unit framing (noenc), packetization, receiver
                         intake, plain-unit admission (noenc), frame
@@ -46,6 +51,7 @@ import hashlib
 import os
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -60,7 +66,7 @@ from .leakage import (
     leakage_check_and_adapt,
     trace_features,
 )
-from .netw import Datagram, NetConfig, packetize, transmit
+from .netw import FRAG_HEADER_LEN, Datagram, NetConfig, packetize, transmit
 from .partition import (
     CubeId,
     CubeSet,
@@ -83,7 +89,6 @@ from .seal import (
     SEAL_OVERHEAD,
     CubePlaintext,
     NonceRegistry,
-    SealedCube,
     seal_cube,
     serialize_cube,
 )
@@ -321,6 +326,11 @@ class _PlainCodec:
     def encode(self, plain, key, pol, frame_id, pad_len) -> bytes:
         return plain.num_points.to_bytes(4, "little") + plain.geometry + plain.attributes
 
+    def receiver(self, client):
+        """The per-datagram call, (datagram, arrival) -> item or None,
+        bound to ``client`` once per frame."""
+        return partial(self.receive, client)
+
     def receive(self, client, dgram, arrival):
         """A completed unit whose length is not exactly its point count's
         is logged as malformed and yields None, as on the sealed path."""
@@ -356,8 +366,8 @@ class _SealedCodec:
         sealed = seal_cube(plain, key, pol, frame_id, self.ring.session_id, pad_len=pad_len, registry=self.registry)
         return sealed.to_bytes()
 
-    def receive(self, client, dgram, arrival) -> SealedCube | None:
-        return client.on_datagram(dgram, arrival)
+    def receiver(self, client):
+        return client.on_datagram
 
     def admit(self, client, sealed, arrival) -> AdmitOutcome:
         return client.admit(sealed, now_ms=arrival)
@@ -454,7 +464,7 @@ class Session:
         # with sigma > 0), seal (framing, for plain units), packetize, shape
         clock.switch("transport_assembly")
         sendlist: list[tuple[Datagram, float]] = []
-        shaped_units = 0
+        shaped_units = bytes_sent = 0
         for cid in refresh:
             s, pol = plan[cid]
             plain = planner.payload(frame, by_id, cid)
@@ -467,6 +477,7 @@ class Session:
             unit = codec.encode(plain, keys[cid], pol, i, pad)
             clock.switch("transport_assembly")
             frags = packetize(unit, cid, i, cfg.net.mtu)
+            bytes_sent += len(unit) + FRAG_HEADER_LEN * len(frags)
             times = [nominal_time] * len(frags)
             jitters = (0.0,) * len(frags)
             if rng is not None:
@@ -503,8 +514,9 @@ class Session:
         # frame composition
         clock.switch("transport_assembly")
         outcomes = {}
+        receive = codec.receiver(client)
         for dgram, arrival in delivered:
-            item = codec.receive(client, dgram, arrival)
+            item = receive(dgram, arrival)
             if item is not None:
                 clock.switch(codec.open_stage)
                 out = codec.admit(client, item, arrival)
@@ -530,7 +542,6 @@ class Session:
             }
             result.content_digest_by_frame[i] = _content_digest(rendered)
 
-        bytes_sent = sum(d.wire_len for d, _t in sendlist)
         row = {
             "mode": cfg.mode,
             "frame": i,

@@ -107,12 +107,13 @@ def replay_filter(guard: ReplayGuard, flow_id: CubeId, frame_id: int, frag_index
         return True
     if frame_id < newest - REPLAY_WINDOW_FRAMES:
         return False  # below the window: indistinguishable from replay
-    pairs = guard.seen.setdefault(frame_id, set())
-    pair = (flow_id, frag_index)
-    if pair in pairs:
-        return False
-    pairs.add(pair)
-    return True
+    pairs = guard.seen.get(frame_id)
+    if pairs is None:
+        guard.seen[frame_id] = {(flow_id, frag_index)}
+        return True
+    n = len(pairs)
+    pairs.add((flow_id, frag_index))
+    return len(pairs) > n  # the pair was new
 
 
 @dataclass
@@ -262,8 +263,8 @@ class Client:
         complete. The client therefore holds buffers for at most
         REPLAY_WINDOW_FRAMES + 1 frames.
         """
-        flow, frame = dgram.flow_id, dgram.frame_id
-        if not replay_filter(self.guard, flow, frame, dgram.frag_index):
+        flow, frame, index, count, _payload = dgram
+        if not replay_filter(self.guard, flow, frame, index):
             return None
         flows = self._buffers.get(frame)
         if flows is None:
@@ -271,9 +272,12 @@ class Client:
             floor = self.guard.newest - REPLAY_WINDOW_FRAMES
             for old in [f for f in self._buffers if f < floor]:
                 del self._buffers[old]
-        buf = flows.setdefault(flow, [])
-        buf.append(dgram)
-        if len(buf) < dgram.frag_count:
+        buf = flows.get(flow)
+        if buf is None:
+            buf = flows[flow] = [dgram]
+        else:
+            buf.append(dgram)
+        if len(buf) < count:
             return None
         try:
             unit = reassemble(buf)

@@ -17,6 +17,7 @@ plug-in MI estimates through sparse-cell bias.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import sub
 
 import numpy as np
 
@@ -71,12 +72,12 @@ def trace_features(trace: TrafficTrace) -> tuple[float, float, float]:
     n = trace.packet_count
     if n == 0:
         return (0.0, 0.0, 0.0)
-    total = float(sum(length for length, _t in trace.records))
+    lengths, times = zip(*trace.records)
+    total = float(sum(lengths))
     if n == 1:
         return (total, 1.0, 0.0)
-    times = [t for _l, t in trace.records]
-    gaps = [b - a for a, b in zip(times, times[1:])]
-    return (total, float(n), sum(gaps) / len(gaps))
+    # the gaps summed in send order, as a list of b - a would be
+    return (total, float(n), sum(map(sub, times[1:], times)) / (n - 1))
 
 
 def _bin_indices(values: np.ndarray, bins: int) -> np.ndarray:

@@ -121,9 +121,10 @@ def packetize(unit: bytes, flow_id: CubeId, frame_id: int, mtu: int = 1200) -> l
     count = max(1, -(-len(unit) // payload_max))
     if count > 0xFFFF:
         raise ConfigError("unit needs more fragments than the header can number")
+    make = Datagram._make
     return [
-        Datagram(flow_id, frame_id, i, count, unit[i * payload_max : (i + 1) * payload_max])
-        for i in range(count)
+        make((flow_id, frame_id, i, count, unit[at : at + payload_max]))
+        for i, at in enumerate(range(0, count * payload_max, payload_max))
     ]
 
 
@@ -152,27 +153,44 @@ def transmit(
     come back sorted by arrival; traces capture every datagram as sent,
     per flow, ordered by send time, independent of loss.
     """
+    # grouped with get() rather than setdefault(), which builds a list per
+    # datagram; fields are read by index (flow_id, frame_id, ..., payload)
     streams: dict[tuple[CubeId, int], list[tuple[Datagram, float]]] = {}
     records: dict[CubeId, list[tuple[int, float]]] = {}
-    for dgram, t in sorted(sendlist, key=itemgetter(1)):
-        streams.setdefault((dgram.flow_id, dgram.frame_id), []).append((dgram, t))
-        records.setdefault(dgram.flow_id, []).append((FRAG_HEADER_LEN + len(dgram.payload), t))
+    for item in sorted(sendlist, key=itemgetter(1)):
+        dgram, t = item
+        flow_id = dgram[0]
+        stream = streams.get((flow_id, dgram[1]))
+        if stream is None:
+            streams[(flow_id, dgram[1])] = [item]
+        else:
+            stream.append(item)
+        rec = (FRAG_HEADER_LEN + len(dgram[4]), t)
+        recs = records.get(flow_id)
+        if recs is None:
+            records[flow_id] = [rec]
+        else:
+            recs.append(rec)
 
     half_rtt = cfg.rtt_ms / 2.0
-    delivered: list[tuple[Datagram, float]] = []
-    for (flow_id, frame_id), items in streams.items():
-        draw = Mcg64(mix64(_CHANNEL_STREAM, cfg.seed, *flow_id, frame_id)).next_uniform
-        survivors = [(d, t + half_rtt) for d, t in items if draw() >= cfg.loss_prob]
-        if cfg.reorder_prob > 0.0:
-            i = 0
-            while i < len(survivors) - 1:
-                if draw() < cfg.reorder_prob:
-                    (d1, t1), (d2, t2) = survivors[i], survivors[i + 1]
-                    survivors[i], survivors[i + 1] = (d2, t1), (d1, t2)
-                    i += 2
-                else:
-                    i += 1
-        delivered.extend(survivors)
+    if cfg.loss_prob == 0.0 and cfg.reorder_prob == 0.0:
+        # every draw would pass (u >= 0) and none would reorder: skip them
+        delivered = [(d, t + half_rtt) for items in streams.values() for d, t in items]
+    else:
+        delivered = []
+        for (flow_id, frame_id), items in streams.items():
+            draw = Mcg64(mix64(_CHANNEL_STREAM, cfg.seed, *flow_id, frame_id)).next_uniform
+            survivors = [(d, t + half_rtt) for d, t in items if draw() >= cfg.loss_prob]
+            if cfg.reorder_prob > 0.0:
+                i = 0
+                while i < len(survivors) - 1:
+                    if draw() < cfg.reorder_prob:
+                        (d1, t1), (d2, t2) = survivors[i], survivors[i + 1]
+                        survivors[i], survivors[i + 1] = (d2, t1), (d1, t2)
+                        i += 2
+                    else:
+                        i += 1
+            delivered.extend(survivors)
     delivered.sort(key=itemgetter(1))
     traces = {flow_id: TrafficTrace(flow_id, recs) for flow_id, recs in records.items()}
     return delivered, traces

@@ -195,6 +195,8 @@ def nonce_for(cube_id: CubeId, frame_id: int) -> bytes:
 
 @lru_cache(maxsize=4096)
 def _aead(key: bytes) -> AESGCM:
+    """One cache for the whole process: in a process that both seals and
+    opens, open_cube reuses the AESGCM object seal_cube built for a key."""
     return AESGCM(key)
 
 
@@ -225,12 +227,18 @@ class NonceRegistry:
 def serialize_cube(frame: PointCloudFrame, cube: Cube) -> CubePlaintext:
     """Pack a cube's points into wire plaintext sections. ``take`` gathers
     the same rows as fancy indexing, several times faster on (N, 3); the
-    array method skips the ``np.take`` wrapper, about 0.5 us a call."""
+    array method skips the ``np.take`` wrapper, about 0.5 us a call. The
+    attributes interleave r, g, b, label through a flat buffer, one strided
+    column at a time: the same bytes as assigning into an (N, 4) array's
+    column block, which takes a slower copy loop."""
     idx = cube.point_indices
     geometry = frame.positions.take(idx, axis=0).astype("<f4").tobytes()
-    attrs = np.empty((len(idx), 4), dtype=np.uint8)
-    attrs[:, :3] = frame.colors.take(idx, axis=0)
-    attrs[:, 3] = frame.sensitivity.take(idx)
+    colors = frame.colors.take(idx, axis=0)
+    attrs = np.empty(_ATTR_STRIDE * len(idx), dtype=np.uint8)
+    attrs[0::4] = colors[:, 0]
+    attrs[1::4] = colors[:, 1]
+    attrs[2::4] = colors[:, 2]
+    attrs[3::4] = frame.sensitivity.take(idx)
     return CubePlaintext(geometry, attrs.tobytes())
 
 

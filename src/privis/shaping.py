@@ -22,11 +22,12 @@ flow scheduling order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
 from .partition import CubeId
-from .rng import Mcg64, mix64
+from .rng import _INV53, _MASK, _MULT, Mcg64, mix64
 
 __all__ = [
     "ShapingConfig",
@@ -121,8 +122,34 @@ def shape_times(
     would displace a packet more than mtp_budget_ms past its original send
     time, the displacement is capped there and the pacing gap compresses.
     Masking bursts is best-effort inside the latency budget, never beyond.
+
+    Bit-equal to jitter_delay per packet, then schedule_flow, then the cap,
+    with the same draws, in one pass: the MCG step runs on a local copy of
+    the state, written back once at the end (a negative send time raises
+    before that, leaving the stream where it was). The guard chain runs on
+    the uncapped times, as schedule_flow does.
     """
-    jittered = [jitter_delay(t, sigma, cfg, rng) for t in times]
-    shaped = schedule_flow(jittered, sigma, cfg)
-    shaped = [min(t_new, t_orig + cfg.mtp_budget_ms) for t_new, t_orig in zip(shaped, times)]
-    return shaped, [j - t for j, t in zip(jittered, times)]
+    if sigma <= 0.0:
+        if any(t < 0 for t in times):
+            raise ConfigError("send time must be >= 0")
+        return list(times), [0.0] * len(times)
+    span = sigma * cfg.jitter_max_ms
+    tau = cfg.guard_min_ms * sigma
+    budget = cfg.mtp_budget_ms
+    mult, mask, inv53 = _MULT, _MASK, _INV53
+    state = rng.state
+    prev = -math.inf  # the first packet has no predecessor to keep a gap to
+    shaped: list[float] = []
+    jitters: list[float] = []
+    for t in times:
+        if t < 0:
+            raise ConfigError("send time must be >= 0")
+        state = mult * state & mask
+        j = t + span * ((state >> 11) * inv53)
+        g = prev + tau
+        prev = g if g > j else j
+        c = t + budget
+        shaped.append(c if c < prev else prev)
+        jitters.append(j - t)
+    rng.state = state
+    return shaped, jitters
