@@ -234,7 +234,7 @@ def serialize_cube(frame: PointCloudFrame, cube: Cube) -> CubePlaintext:
     idx = cube.point_indices
     geometry = frame.positions.take(idx, axis=0).astype("<f4").tobytes()
     colors = frame.colors.take(idx, axis=0)
-    attrs = np.empty(_ATTR_STRIDE * len(idx), dtype=np.uint8)
+    attrs = np.empty(4 * len(idx), dtype=np.uint8)
     attrs[0::4] = colors[:, 0]
     attrs[1::4] = colors[:, 1]
     attrs[2::4] = colors[:, 2]

@@ -20,7 +20,7 @@ from privis.client import Client
 from privis.errors import ConfigError
 from privis.frame_io import SceneSpec
 from privis.keyring import RootKey
-from privis.netw import Datagram, NetConfig
+from privis.netw import FRAG_HEADER_LEN, Datagram, NetConfig
 from privis.partition import CubeId
 from privis.seal import CubePlaintext
 from privis.shaping import ShapingConfig
@@ -273,3 +273,19 @@ def test_leakage_windows_cover_every_mi_sample():
     r = run_session(replace(cfg, scene=replace(SMALL, frame_count=9)))
     assert len(r.leakage_windows) == 3
     assert sum(w["samples"] for w in r.leakage_windows) == len(r.mi_samples)
+
+
+@pytest.mark.parametrize(
+    "mode, net",
+    [(m, NetConfig()) for m in MODES] + [("privis", NetConfig(loss_prob=0.05, seed=3))],
+)
+def test_bytes_sent_is_the_wire_length_of_the_units_sent(mode, net):
+    """Each frame's bytes_sent is the sum, over the units it sent, of the
+    unit and one fragment header per fragment; loss does not change it."""
+    r = run_session(small_cfg(mode, net=net, keep_units=True))
+    payload_max = net.mtu - FRAG_HEADER_LEN
+    per_frame = dict.fromkeys(range(SMALL.frame_count), 0)
+    for (frame, _cid), unit in r.sealed_units.items():
+        per_frame[frame] += len(unit) + FRAG_HEADER_LEN * -(-len(unit) // payload_max)
+    assert [row["bytes_sent"] for row in r.frame_rows] == list(per_frame.values())
+    assert sum(per_frame.values()) > 0

@@ -4,6 +4,7 @@ import pytest
 
 from privis.errors import ConfigError, MalformedHeader
 from privis.netw import (
+    _CHANNEL_STREAM,
     FRAG_HEADER_LEN,
     Datagram,
     NetConfig,
@@ -12,7 +13,7 @@ from privis.netw import (
     transmit,
 )
 from privis.partition import CubeId
-from privis.rng import Mcg64
+from privis.rng import Mcg64, mix64
 from privis.shaping import ShapingConfig, flow_rng
 
 FLOW = CubeId(1, 2, 3)
@@ -165,3 +166,65 @@ def test_channel_loss_does_not_follow_the_shaping_draws():
         shaping_says_lost = flow_rng(shaping, FLOW, frame).next_uniform() < cfg.loss_prob
         agree += (not delivered) == shaping_says_lost
     assert 16 <= agree <= 48, agree
+
+
+def _reference_transmit(sendlist, cfg):
+    """The channel drawing once per datagram, as it does on a lossy or
+    reordering channel, with the streams grouped by setdefault."""
+    streams, records = {}, {}
+    for dgram, t in sorted(sendlist, key=lambda p: p[1]):
+        streams.setdefault((dgram.flow_id, dgram.frame_id), []).append((dgram, t))
+        records.setdefault(dgram.flow_id, []).append((dgram.wire_len, t))
+    delivered = []
+    for (flow_id, frame_id), items in streams.items():
+        draw = Mcg64(mix64(_CHANNEL_STREAM, cfg.seed, *flow_id, frame_id)).next_uniform
+        delivered.extend((d, t + cfg.rtt_ms / 2.0) for d, t in items if draw() >= cfg.loss_prob)
+    delivered.sort(key=lambda p: p[1])
+    return delivered, records
+
+
+def test_loss_free_channel_matches_the_draw_per_datagram_reference():
+    """Without loss or reordering the channel makes no draws; it delivers
+    the same datagrams at the same times in the same order (ties between
+    flows included) and records the same traces. Some flows send in two
+    frames at once, and a third of them are jittered onto a coarse grid,
+    so that datagrams of different flows tie in send time, interleaved."""
+    rng = Mcg64(31)
+    flows = [CubeId(rng.randint(-5, 5), rng.randint(-5, 5), rng.randint(-5, 5)) for _ in range(12)]
+    for frame in range(20):
+        send = []
+        for k, flow in enumerate(flows):
+            for frame_id in (frame, frame + 1)[: 1 + (k % 4 == 0)]:
+                shaped = k % 3 == 0
+                for d in packetize(bytes(rng.randint(0, 9000)), flow, frame_id, mtu=1200):
+                    send.append((d, 100.0 * frame + (5.0 * rng.randint(0, 3) if shaped else 0.0)))
+        cfg = NetConfig(rtt_ms=rng.uniform(0.0, 40.0), seed=frame)
+        delivered, traces = transmit(send, cfg)
+        ref_delivered, ref_records = _reference_transmit(send, cfg)
+        assert repr(delivered) == repr(ref_delivered)
+        assert {f: tr.records for f, tr in traces.items()} == ref_records
+
+
+def _reference_packetize(unit, flow_id, frame_id, mtu):
+    payload_max = mtu - FRAG_HEADER_LEN
+    count = max(1, -(-len(unit) // payload_max))
+    return [
+        Datagram(flow_id, frame_id, i, count, unit[i * payload_max : (i + 1) * payload_max])
+        for i in range(count)
+    ]
+
+
+def test_packetize_matches_the_slicing_reference():
+    """The sizes and MTUs of test_thousand_random_packetize_round_trips;
+    the long units are cut from random bytes, so a fragment taken at the
+    wrong offset shows."""
+    pool = bytes(Mcg64(5).randint(0, 255) for _ in range(5000))
+    rng = Mcg64(77)
+    for trial in range(1000):
+        size = rng.randint(0, 5000)
+        unit = bytes(rng.randint(0, 255) for _ in range(size)) if size < 200 else pool[:size]
+        mtu = rng.randint(64, 1500)
+        frags = packetize(unit, FLOW, trial, mtu=mtu)
+        ref = _reference_packetize(unit, FLOW, trial, mtu)
+        assert all(type(f) is Datagram and type(f.payload) is bytes for f in frags)
+        assert [tuple(f) for f in frags] == [tuple(r) for r in ref]

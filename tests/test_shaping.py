@@ -130,3 +130,47 @@ def test_shaped_trace_determinism():
 
     assert run() == run()
 
+
+def _reference_shape_times(times, sigma, cfg, rng):
+    """The composition shape_times fuses: jitter_delay per packet, then
+    schedule_flow, then the motion-to-photon cap."""
+    jittered = [jitter_delay(t, sigma, cfg, rng) for t in times]
+    shaped = schedule_flow(jittered, sigma, cfg)
+    shaped = [min(t_new, t_orig + cfg.mtp_budget_ms) for t_new, t_orig in zip(shaped, times)]
+    return shaped, [j - t for j, t in zip(jittered, times)]
+
+
+def test_shape_times_is_bit_equal_to_the_reference_composition():
+    """Same floats (repr) and the same stream position afterwards, over
+    random sigma, 0-64 packets, equal or rising send times, and configs
+    whose cap binds."""
+    cfgs = (
+        CFG,
+        ShapingConfig(guard_min_ms=5.0, jitter_max_ms=3.0, mtp_budget_ms=8.0),
+        ShapingConfig(guard_min_ms=0.0, jitter_max_ms=0.0, mtp_budget_ms=1.0),
+    )
+    draws = Mcg64(2024)
+    capped = 0
+    for trial in range(600):
+        cfg = cfgs[trial % len(cfgs)]
+        sigma = (0.0, 1.0, draws.uniform(0.0, 1.0))[trial // len(cfgs) % 3]
+        n = draws.randint(0, 64)
+        t0 = draws.uniform(0.0, 5000.0)
+        if trial % 2:
+            times = [t0] * n
+        else:
+            times = sorted(t0 + draws.uniform(0.0, 30.0) for _ in range(n))
+        seed = draws.randint(0, 2**63)
+        got_rng, ref_rng = Mcg64(seed), Mcg64(seed)
+        got = shape_times(times, sigma, cfg, got_rng)
+        ref = _reference_shape_times(times, sigma, cfg, ref_rng)
+        assert repr(got) == repr(ref), (trial, sigma, n)
+        assert got_rng.state == ref_rng.state
+        capped += sum(new == t + cfg.mtp_budget_ms for new, t in zip(got[0], times))
+    assert capped > 0  # the cap bound in some trials
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.7])
+def test_shape_times_rejects_a_negative_send_time(sigma):
+    with pytest.raises(ConfigError):
+        shape_times([1.0, -0.5, 2.0], sigma, CFG, Mcg64(4))
