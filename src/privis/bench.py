@@ -24,10 +24,7 @@ Per-frame stage accounting (wall time, monotonic clock):
     encryption          seal_cube calls only
     decryption          Client.admit per completed unit: the receiver's
                         derive_key, open_cube, and the RenderState update
-                        or hold-over with its failure log. seal.py caches
-                        AESGCM objects per key for the whole process, so
-                        in process the receiver reuses the ones the sender
-                        built: their construction lands in encryption
+                        or hold-over with its failure log
     transport_assembly  payload serialization, shaping decisions,
                         plain-unit framing (noenc), packetization, receiver
                         intake, plain-unit admission (noenc), frame

@@ -7,19 +7,21 @@ exists, else drops the region for the frame. Hold-over keeps exactly one
 prior version per cube, so staleness is bounded and observable through the
 carried frame id.
 
-Replay protection has two layers. For the session, one high-water frame
-mark with a bounded acceptance window below it filters the unauthenticated
-fragment headers: all flows share one frame counter, so a datagram of a
-newer frame advances the mark, genuinely new (flow, fragment) pairs inside
-the window are accepted even when they arrive out of order, and duplicates
-or stale datagrams below the window are rejected. Reassembly buffers are
-kept per frame and live exactly as long as their frame is inside that
-window, so neither grows with the number of flow ids the unauthenticated
-headers name. Per cube, after the integrity check (as RFC 4303 section
-3.4.3 orders it), a unit renders only when its authenticated frame is newer
-than the cube's last verified one, and a sealed unit only in fragments
-whose header names its own frame and cube; anything else is logged as a
-replay.
+Replay protection has two layers. For the session, one receive window
+filters the unauthenticated fragment headers: all flows share one frame
+counter, so a datagram of a newer frame advances the mark, and each frame
+in [mark - REPLAY_WINDOW_FRAMES, mark] keeps every flow's fragments by
+index in one table, ReplayGuard.frames. A genuinely new fragment inside
+the window is filed there even when it arrives out of order; a duplicate
+index, anything below the window, and any fragment of a flow whose unit
+already completed or was found malformed in that frame are rejected (the
+sender sends at most one unit per cube and frame). A frame's entries go
+when it falls below the window, so the table never grows with the number
+of flow ids the unauthenticated headers name. Per cube, after the
+integrity check (as RFC 4303 section 3.4.3 orders it), a unit renders
+only when its authenticated frame is newer than the cube's last verified
+one, and a sealed unit only in fragments whose header names its own frame
+and cube; anything else is logged as a replay.
 
 Missing-versus-tampered policy: a cube that fails authentication holds
 over (tamper is evidence the sender tried); a cube with no completed unit
@@ -78,42 +80,49 @@ class Dropped:
 AdmitOutcome = Admitted | HeldOver | Dropped
 
 
+_DONE = ()  # a flow's table entry once its unit completed or failed in that frame
+
+
 @dataclass
 class ReplayGuard:
-    """Session-wide anti-replay state: the newest frame seen, and for each
-    frame in [newest - REPLAY_WINDOW_FRAMES, newest] the (flow, fragment)
-    pairs seen in it."""
+    """Session-wide receive window: the newest frame seen, and for each
+    frame in [newest - REPLAY_WINDOW_FRAMES, newest] each flow's fragments
+    by index, or _DONE once the flow's unit there completed or failed."""
 
     newest: int | None = None
-    seen: dict[int, set[tuple[CubeId, int]]] = field(default_factory=dict)
+    frames: dict[int, dict[CubeId, dict[int, Datagram] | tuple[()]]] = field(default_factory=dict)
 
 
-def replay_filter(guard: ReplayGuard, flow_id: CubeId, frame_id: int, frag_index: int) -> bool:
-    """True to accept the datagram, False to reject it as replayed/stale.
+def replay_filter(guard: ReplayGuard, dgram: Datagram) -> dict[int, Datagram] | None:
+    """File one datagram in the window; returns its flow's fragments in
+    that frame, or None to reject it as replayed or stale.
 
     A datagram of a newer frame than any seen always advances the mark and
-    drops the frames that fall below the window. At or below the mark,
-    genuinely new datagrams within the last REPLAY_WINDOW_FRAMES frames are
-    accepted (reordering is not replay); duplicates and anything older are
-    rejected.
+    drops the frames that fall below the window. At or below the mark, a
+    genuinely new fragment within the last REPLAY_WINDOW_FRAMES frames is
+    accepted (reordering is not replay); a duplicate index, a fragment of a
+    flow that is done in its frame, and anything older are rejected.
     """
+    flow, frame, index = dgram[0], dgram[1], dgram[2]
+    frames = guard.frames
     newest = guard.newest
-    if newest is None or frame_id > newest:
-        guard.newest = frame_id
-        floor = frame_id - REPLAY_WINDOW_FRAMES
-        for old in [f for f in guard.seen if f < floor]:
-            del guard.seen[old]
-        guard.seen[frame_id] = {(flow_id, frag_index)}
-        return True
-    if frame_id < newest - REPLAY_WINDOW_FRAMES:
-        return False  # below the window: indistinguishable from replay
-    pairs = guard.seen.get(frame_id)
-    if pairs is None:
-        guard.seen[frame_id] = {(flow_id, frag_index)}
-        return True
-    n = len(pairs)
-    pairs.add((flow_id, frag_index))
-    return len(pairs) > n  # the pair was new
+    if newest is None or frame > newest:
+        guard.newest = frame
+        floor = frame - REPLAY_WINDOW_FRAMES
+        for old in [f for f in frames if f < floor]:
+            del frames[old]
+    elif frame < newest - REPLAY_WINDOW_FRAMES:
+        return None  # below the window: indistinguishable from replay
+    flows = frames.get(frame)
+    if flows is None:
+        flows = frames[frame] = {}
+    frags = flows.get(flow)
+    if frags is None:
+        frags = flows[flow] = {}
+    elif frags is _DONE or index in frags:
+        return None
+    frags[index] = dgram
+    return frags
 
 
 @dataclass
@@ -226,7 +235,6 @@ class Client:
     root: RootKey
     state: RenderState = field(default_factory=RenderState)
     guard: ReplayGuard = field(default_factory=ReplayGuard)
-    _buffers: dict[int, dict[CubeId, list[Datagram]]] = field(default_factory=dict)
 
     def on_datagram(self, dgram: Datagram, arrival_ms: float) -> SealedCube | None:
         """Feed one datagram; returns the sealed unit when it completes.
@@ -250,45 +258,22 @@ class Client:
         return sealed
 
     def intake(self, dgram: Datagram, arrival_ms: float) -> bytes | None:
-        """Replay-filter and buffer one datagram; returns the unit's bytes
+        """Replay-filter and file one datagram; returns the unit's bytes
         once its last fragment is in.
 
         Fragments whose headers disagree (index beyond the count, counts
-        that differ) cannot form a unit: their buffer is dropped and the
-        failure logged as malformed at ``arrival_ms``.
-
-        Buffers are kept per frame. When a datagram opens a frame, the
-        frames below the replay window go with their buffers: replay_filter
-        rejects every later fragment of such a frame, so they could never
-        complete. The client therefore holds buffers for at most
-        REPLAY_WINDOW_FRAMES + 1 frames.
+        that differ) cannot form a unit: the failure is logged as malformed
+        at ``arrival_ms``. Either way the flow is done in that frame.
         """
-        flow, frame, index, count, _payload = dgram
-        if not replay_filter(self.guard, flow, frame, index):
+        frags = replay_filter(self.guard, dgram)
+        if not frags or len(frags) < dgram.frag_count:
             return None
-        flows = self._buffers.get(frame)
-        if flows is None:
-            flows = self._buffers[frame] = {}
-            floor = self.guard.newest - REPLAY_WINDOW_FRAMES
-            for old in [f for f in self._buffers if f < floor]:
-                del self._buffers[old]
-        buf = flows.get(flow)
-        if buf is None:
-            buf = flows[flow] = [dgram]
-        else:
-            buf.append(dgram)
-        if len(buf) < count:
-            return None
+        self.guard.frames[dgram.frame_id][dgram.flow_id] = _DONE
         try:
-            unit = reassemble(buf)
+            return reassemble(list(frags.values()))
         except MalformedHeader:
-            del flows[flow]
-            self.state.log_failure(frame, flow, "malformed", arrival_ms)
+            self.state.log_failure(dgram.frame_id, dgram.flow_id, "malformed", arrival_ms)
             return None
-        if unit is None:
-            return None
-        del flows[flow]
-        return unit
 
     def admit(self, sealed: SealedCube, now_ms: float = 0.0) -> AdmitOutcome:
         return admit_cube(sealed, self.root, self.state, now_ms)

@@ -18,9 +18,11 @@ from __future__ import annotations
 
 import numpy as np
 
-_MULT = 6364136223846793005
-_MASK = (1 << 64) - 1
-_INV53 = float(2.0**-53)
+# the MCG's documented constants: multiplier, state mask, and the scale of
+# a 53-bit draw; callers that inline the step use these names
+MCG_MULT = 6364136223846793005
+MASK64 = (1 << 64) - 1
+INV_2_53 = float(2.0**-53)
 
 # splitmix64 finalizer constants, used only to derive substream seeds
 _MIX_GAMMA = 0x9E3779B97F4A7C15
@@ -36,11 +38,11 @@ def mix64(*values: int) -> int:
     """
     h = 0x9E3779B97F4A7C15
     for v in values:
-        h = (h + (v & _MASK) + _MIX_GAMMA) & _MASK
+        h = (h + (v & MASK64) + _MIX_GAMMA) & MASK64
         h ^= h >> 30
-        h = (h * _MIX_A) & _MASK
+        h = (h * _MIX_A) & MASK64
         h ^= h >> 27
-        h = (h * _MIX_B) & _MASK
+        h = (h * _MIX_B) & MASK64
         h ^= h >> 31
     return h
 
@@ -51,12 +53,12 @@ class Mcg64:
     __slots__ = ("state",)
 
     def __init__(self, seed: int):
-        self.state = ((2 * seed + 1)) & _MASK
+        self.state = ((2 * seed + 1)) & MASK64
 
     def next_uniform(self) -> float:
         """One double in [0, 1)."""
-        self.state = (_MULT * self.state) & _MASK
-        return (self.state >> 11) * _INV53
+        self.state = (MCG_MULT * self.state) & MASK64
+        return (self.state >> 11) * INV_2_53
 
     def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
         return lo + (hi - lo) * self.next_uniform()
@@ -78,12 +80,12 @@ class Mcg64:
         """
         if n == 0:
             return np.zeros(0)
-        mults = np.full(n, _MULT, dtype=np.uint64)
+        mults = np.full(n, MCG_MULT, dtype=np.uint64)
         with np.errstate(over="ignore"):
             powers = np.cumprod(mults)  # MULT**1 .. MULT**n mod 2**64
             states = powers * np.uint64(self.state)
         self.state = int(states[-1])
-        return (states >> np.uint64(11)).astype(np.float64) * _INV53
+        return (states >> np.uint64(11)).astype(np.float64) * INV_2_53
 
     def ball_points(self, n: int, center, radius: float) -> np.ndarray:
         """n points uniform in a 3D ball, from 3n consecutive uniforms.

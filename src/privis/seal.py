@@ -123,10 +123,6 @@ class SealedCube(NamedTuple):
     pad_len: int
 
     @property
-    def nonce(self) -> bytes:
-        return self.wire[HEADER_LEN:_BODY]
-
-    @property
     def ciphertext(self) -> bytes:
         return self.wire[_BODY : _BODY + self.cipher_len]
 
@@ -191,13 +187,6 @@ _NONCE = struct.Struct("<4sQ")
 def nonce_for(cube_id: CubeId, frame_id: int) -> bytes:
     """Deterministic nonce: cube-id hash prefix plus the frame counter."""
     return _NONCE.pack(_nonce_prefix(cube_id), frame_id)
-
-
-@lru_cache(maxsize=4096)
-def _aead(key: bytes) -> AESGCM:
-    """One cache for the whole process: in a process that both seals and
-    opens, open_cube reuses the AESGCM object seal_cube built for a key."""
-    return AESGCM(key)
 
 
 class NonceRegistry:
@@ -275,7 +264,7 @@ def seal_cube(
     )
     # GCM output is the ciphertext, as long as its plaintext, then the tag;
     # clear attributes go between the two
-    out = _aead(key.key).encrypt(nonce, plaintext, header + plain_attrs)
+    out = AESGCM(key.key).encrypt(nonce, plaintext, header + plain_attrs)
     if attr_len:
         out = memoryview(out)
         wire = b"".join((header, nonce, out[:-TAG_LEN], plain_attrs, out[-TAG_LEN:], bytes(pad_len)))
@@ -303,7 +292,7 @@ def open_cube(sealed: SealedCube, key: bytes) -> CubePlaintext:
         aad = b"".join((aad, wire[ct_end:tag_at]))
         data = b"".join((wire[_BODY:ct_end], wire[tag_at : tag_at + TAG_LEN]))
     try:
-        plaintext = _aead(key).decrypt(wire[HEADER_LEN:_BODY], data, aad)
+        plaintext = AESGCM(key).decrypt(wire[HEADER_LEN:_BODY], data, aad)
     except InvalidTag:
         raise AuthFailure(
             f"cube {tuple(sealed.cube_id)} frame {sealed.frame_id}: tag verification failed"

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from .errors import ConfigError
 from .partition import CubeId
-from .rng import _INV53, _MASK, _MULT, Mcg64, mix64
+from .rng import INV_2_53, MASK64, MCG_MULT, Mcg64, mix64
 
 __all__ = [
     "ShapingConfig",
@@ -136,7 +136,7 @@ def shape_times(
     span = sigma * cfg.jitter_max_ms
     tau = cfg.guard_min_ms * sigma
     budget = cfg.mtp_budget_ms
-    mult, mask, inv53 = _MULT, _MASK, _INV53
+    mult, mask, inv53 = MCG_MULT, MASK64, INV_2_53
     state = rng.state
     prev = -math.inf  # the first packet has no predecessor to keep a gap to
     shaped: list[float] = []

@@ -40,30 +40,35 @@ def tampered(sealed):
 # --- replay filter ---
 
 
+def fragment(flow, frame, index):
+    """A fragment header as the filter sees it; the payload is not read."""
+    return Datagram(flow, frame, index, 8, b"x")
+
+
 def test_fresh_datagram_accepted():
     guard = ReplayGuard()
-    assert replay_filter(guard, CubeId(0, 0, 0), 0, 0)
+    assert replay_filter(guard, fragment(CubeId(0, 0, 0), 0, 0))
 
 
 def test_exact_duplicate_rejected():
     guard = ReplayGuard()
     flow = CubeId(0, 0, 0)
-    assert replay_filter(guard, flow, 3, 2)
-    assert not replay_filter(guard, flow, 3, 2)
+    assert replay_filter(guard, fragment(flow, 3, 2))
+    assert not replay_filter(guard, fragment(flow, 3, 2))
 
 
 def test_reordered_but_new_accepted():
     guard = ReplayGuard()
     flow = CubeId(0, 0, 0)
-    assert replay_filter(guard, flow, 0, 1)  # arrives first
-    assert replay_filter(guard, flow, 0, 0)  # older but never seen
+    assert replay_filter(guard, fragment(flow, 0, 1))  # arrives first
+    assert replay_filter(guard, fragment(flow, 0, 0))  # older but never seen
 
 
 def test_stale_below_window_rejected():
     guard = ReplayGuard()
     flow = CubeId(0, 0, 0)
-    assert replay_filter(guard, flow, 50, 0)
-    assert not replay_filter(guard, flow, 1, 0)
+    assert replay_filter(guard, fragment(flow, 50, 0))
+    assert not replay_filter(guard, fragment(flow, 1, 0))
 
 
 def test_thousand_reordered_traces_no_false_rejects():
@@ -83,15 +88,15 @@ def test_thousand_reordered_traces_no_false_rejects():
             else:
                 k += 1
         for frame, frag in tokens:
-            assert replay_filter(guard, flow, frame, frag), f"false reject {frame},{frag}"
+            assert replay_filter(guard, fragment(flow, frame, frag)), f"false reject {frame},{frag}"
         replay = tokens[rng.randint(0, len(tokens) - 1)]
-        assert not replay_filter(guard, flow, *replay)
+        assert not replay_filter(guard, fragment(flow, *replay))
 
 
 def test_flows_tracked_independently():
     guard = ReplayGuard()
-    assert replay_filter(guard, CubeId(0, 0, 0), 0, 0)
-    assert replay_filter(guard, CubeId(1, 0, 0), 0, 0)
+    assert replay_filter(guard, fragment(CubeId(0, 0, 0), 0, 0))
+    assert replay_filter(guard, fragment(CubeId(1, 0, 0), 0, 0))
 
 
 def test_window_is_shared_by_all_flows():
@@ -100,10 +105,10 @@ def test_window_is_shared_by_all_flows():
     from a flow never seen before; inside the window it is accepted."""
     guard = ReplayGuard()
     newest = 10
-    assert replay_filter(guard, CubeId(0, 0, 0), newest, 0)
-    assert not replay_filter(guard, CubeId(1, 0, 0), newest - REPLAY_WINDOW_FRAMES - 1, 0)
-    assert replay_filter(guard, CubeId(2, 0, 0), newest - REPLAY_WINDOW_FRAMES, 0)
-    assert not replay_filter(guard, CubeId(2, 0, 0), newest - REPLAY_WINDOW_FRAMES, 0)
+    assert replay_filter(guard, fragment(CubeId(0, 0, 0), newest, 0))
+    assert not replay_filter(guard, fragment(CubeId(1, 0, 0), newest - REPLAY_WINDOW_FRAMES - 1, 0))
+    assert replay_filter(guard, fragment(CubeId(2, 0, 0), newest - REPLAY_WINDOW_FRAMES, 0))
+    assert not replay_filter(guard, fragment(CubeId(2, 0, 0), newest - REPLAY_WINDOW_FRAMES, 0))
 
 
 # --- admission ---
@@ -248,6 +253,11 @@ def test_failure_log_is_append_only_and_time_monotone():
 # --- full client over datagrams ---
 
 
+def open_flows(client):
+    """Flows holding fragments of a unit that has not completed yet."""
+    return sum(bool(frags) for flows in client.guard.frames.values() for frags in flows.values())
+
+
 def test_client_reassembles_and_admits():
     client = Client(ROOT)
     cube = CubeId(0, 0, 9)
@@ -300,7 +310,7 @@ def test_holdover_staleness_bounded_by_rotation_interval():
 
 def test_client_buffers_bounded_over_long_lossy_session():
     """One fragment of one flow is lost every frame for 10k frames: the
-    half-filled buffers are dropped once their frame falls below the replay
+    half-filled flows are dropped once their frame falls below the replay
     window, and every complete unit still comes out."""
     client = Client(ROOT)
     flows = [CubeId(0, 0, k) for k in range(3)]
@@ -313,8 +323,8 @@ def test_client_buffers_bounded_over_long_lossy_session():
             if flow == lost:
                 frags = frags[:-1]
             completed += sum(client.on_datagram(d, 0.0) is not None for d in frags)
-        assert len(client._buffers) <= REPLAY_WINDOW_FRAMES + 1
-        assert sum(map(len, client._buffers.values())) <= REPLAY_WINDOW_FRAMES + 1
+        assert len(client.guard.frames) <= REPLAY_WINDOW_FRAMES + 1
+        assert open_flows(client) <= REPLAY_WINDOW_FRAMES + 1
     assert completed == 10_000 * (len(flows) - 1)
 
 
@@ -341,9 +351,9 @@ def test_malformed_datagrams_logged_and_dropped_not_raised():
     yields nothing; the flow's next honest unit still completes."""
     client = Client(ROOT)
     flow = CubeId(1, 2, 3)
-    # frag_index >= frag_count: the buffer can never form a unit
+    # frag_index >= frag_count: the fragments can never form a unit
     assert client.on_datagram(Datagram(flow, 0, 5, 1, b"x"), 2.5) is None
-    assert flow not in client._buffers[0]
+    assert not client.guard.frames[0][flow]
     # one complete fragment whose bytes are not a sealed unit
     assert client.on_datagram(Datagram(flow, 1, 0, 1, b"not a sealed unit"), 3.5) is None
     assert client.state.failure_log == [(0, flow, "malformed", 2.5), (1, flow, "malformed", 3.5)]
@@ -351,11 +361,48 @@ def test_malformed_datagrams_logged_and_dropped_not_raised():
     assert client.intake(Datagram(flow, 2, 3, 2, b"x"), 4.5) is None
     assert client.intake(Datagram(flow, 2, 0, 2, b"x"), 4.6) is None
     assert client.state.failure_log[-1] == (2, flow, "malformed", 4.6)
-    assert not any(client._buffers.values())
+    assert open_flows(client) == 0
     sealed, plain = sealed_unit(flow, frame=3)
     (dgram,) = packetize(sealed.to_bytes(), flow, 3)
     got = client.on_datagram(dgram, 5.0)
     assert got is not None and client.admit(got).plaintext == plain
+
+
+def test_fragment_after_completion_is_a_replay():
+    """The sender sends at most one unit per cube and frame: once a flow's
+    unit completed in a frame, a fragment under a new index for that flow
+    and frame is rejected and opens no state; other frames still accept."""
+    client = Client(ROOT)
+    flow = CubeId(2, 2, 2)
+    sealed, _ = sealed_unit(flow, frame=4)
+    (dgram,) = packetize(sealed.to_bytes(), flow, 4)
+    assert client.on_datagram(dgram, 1.0) is not None
+    late = Datagram(flow, 4, 1, 2, b"x")
+    assert client.on_datagram(late, 1.1) is None
+    # with a count it cannot meet, a buffer would complete as malformed
+    assert client.on_datagram(Datagram(flow, 4, 2, 1, b"x"), 1.2) is None
+    assert client.state.failure_log == []
+    assert client.guard.frames[4] == {flow: ()}
+    assert not replay_filter(client.guard, late)
+    assert replay_filter(client.guard, late._replace(frame_id=5))
+
+
+def test_fragments_after_malformed_completion_are_replays():
+    """Fragments whose counts disagree complete as malformed; every later
+    fragment of that flow in that frame is rejected, and the next frame's
+    unit still completes."""
+    client = Client(ROOT)
+    flow = CubeId(2, 3, 2)
+    assert client.intake(Datagram(flow, 6, 0, 3, b"x"), 1.0) is None
+    assert client.intake(Datagram(flow, 6, 1, 2, b"x"), 1.1) is None
+    assert client.intake(Datagram(flow, 6, 2, 1, b"x"), 1.2) is None
+    assert client.state.failure_log == [(6, flow, "malformed", 1.1)]
+    for index in range(3):
+        assert not replay_filter(client.guard, Datagram(flow, 6, index, 3, b"x"))
+    assert open_flows(client) == 0
+    sealed, plain = sealed_unit(flow, frame=7)
+    (dgram,) = packetize(sealed.to_bytes(), flow, 7)
+    assert client.admit(client.on_datagram(dgram, 2.0)).plaintext == plain
 
 
 def _deliver(client, sealed, flow, frame, arrival_ms=0.0):
@@ -398,10 +445,10 @@ def test_unit_under_another_flow_is_a_replay():
 
 def test_forged_flow_flood_stays_within_window_bound():
     """Fragment headers are unauthenticated, so a forger can name a fresh
-    flow id in every datagram. Each forged fragment opens a buffer that
-    never completes; the replay state and the buffers still span at most
-    REPLAY_WINDOW_FRAMES + 1 frames, and each frame's state goes once the
-    honest flow moves past the window."""
+    flow id in every datagram. Each forged fragment opens a flow that
+    never completes; the table still spans at most REPLAY_WINDOW_FRAMES + 1
+    frames, and each frame's entries go once the honest flow moves past the
+    window."""
     client = Client(ROOT)
     honest = CubeId(0, 0, 0)
     per_frame = 100
@@ -413,10 +460,10 @@ def test_forged_flow_flood_stays_within_window_bound():
         sealed, plain = sealed_unit(honest, frame=frame)
         (dgram,) = packetize(sealed.to_bytes(), honest, frame)
         assert client.admit(client.on_datagram(dgram, 0.0)).plaintext == plain
-        assert len(client.guard.seen) <= bound
-        assert sum(map(len, client.guard.seen.values())) <= bound * (per_frame + 1)
-        assert len(client._buffers) <= bound
-        assert sum(map(len, client._buffers.values())) <= bound * per_frame
+        frames = client.guard.frames
+        assert len(frames) <= bound
+        assert sum(map(len, frames.values())) <= bound * (per_frame + 1)
+        assert open_flows(client) <= bound * per_frame
 
 
 def test_epoch_top_bit_flip_is_an_auth_failure():

@@ -7,7 +7,7 @@ duplication, reordering, cross-frame replay and mismatched fragment
 counts. After every frame the client must hold its invariants: nothing
 raises, no cube is admitted at or below its last verified frame, what
 renders is what was sent, frame_compose conserves the cube count, and the
-replay state and reassembly buffers stay within the window bound.
+receive window's table stays within its bound.
 """
 
 import struct
@@ -31,8 +31,9 @@ FLOWS = [CubeId(k, 1, -2) for k in range(3)]
 FRAMES = 10_000
 MTU = 160  # every unit takes two fragments
 BOUND = REPLAY_WINDOW_FRAMES + 1
-# guard and buffer entries fill from at most BOUND frames of what one step
-# delivers: two fragments per unit, at most three datagrams per fragment
+# the table's flow and fragment entries fill from at most BOUND frames of
+# what one step delivers: two fragments per unit, at most three datagrams per
+# fragment
 CAP = BOUND * 3 * 2 * len(FLOWS)
 REPLAY_DEPTH = 6  # cross-frame replays reach this many frames back
 # A forged frame id far ahead of the sender moves the session's mark past
@@ -132,9 +133,10 @@ def test_fuzzed_datagrams_keep_client_invariants():
             outcomes[out.cube_id] = out
         summary, resolved = frame_compose(frame, outcomes, FLOWS, client.state, now_ms=frame * 33.0)
         assert summary.admitted + summary.held + summary.dropped == len(FLOWS) == len(resolved)
-        assert len(client.guard.seen) <= BOUND and len(client._buffers) <= BOUND
-        assert sum(map(len, client.guard.seen.values())) <= CAP
-        assert sum(len(b) for flows in client._buffers.values() for b in flows.values()) <= CAP
+        frames = client.guard.frames
+        assert len(frames) <= BOUND
+        assert sum(map(len, frames.values())) <= CAP
+        assert sum(len(frags) for flows in frames.values() for frags in flows.values()) <= CAP
         for key in [k for k in sent if k[1] <= frame - 2 * REPLAY_DEPTH]:
             del sent[key]
     # the mutations leave most units intact: the honest path stays exercised
