@@ -20,7 +20,7 @@ from .bench import (
     run_session,
     write_session_csvs,
 )
-from .errors import OrderingError
+from .errors import ConfigError, OrderingError, ValidationError
 from .leakage import LeakageConfig
 from .netw import NetConfig
 from .partition import PartitionConfig
@@ -70,16 +70,18 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--out", default=None, metavar="DIR")
     p.add_argument("--root-key", default=None, metavar="HEX")
     args = p.parse_args(argv)
+    try:
+        cfg = _build_config(args, args.mode or "privis")
+    except (ConfigError, ValidationError) as e:
+        p.error(str(e))
 
     if args.mode is not None:
-        cfg = _build_config(args, args.mode)
         result = run_session(cfg)
         _print_breakdown({args.mode: result})
         if args.out:
             write_session_csvs(result, args.out)
         return 0
 
-    cfg = _build_config(args, "privis")
     comparison = compare_modes(cfg)
     _print_breakdown(comparison.results)
     print()

@@ -79,7 +79,7 @@ from .policy import (
     Scope,
     assign_policy,
     enforce_budget,
-    protection_level,
+    protection_level,  # not called here: perfbench/layers.py hooks this name and fails if it is missing
 )
 from .saliency import SaliencyConfig, score_cubes
 from .seal import (
@@ -157,6 +157,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}")
+        if self.root_key_hex is not None:
+            RootKey.from_hex(self.root_key_hex)
 
 
 @dataclass
@@ -252,24 +254,6 @@ def _changed_mask(frame: PointCloudFrame, prev: PointCloudFrame | None) -> np.nd
     return changed
 
 
-def _policy_assigner(pol_cfg: PolicyConfig):
-    """assign_policy with the sigma = 0 policies shared (they are frozen,
-    so sharing is safe)."""
-    cache: dict[ProtectionLevel, ProtectionPolicy] = {}
-
-    def assign(s: float) -> ProtectionPolicy:
-        if s > pol_cfg.theta:
-            return assign_policy(s, pol_cfg)
-        level = protection_level(s, (pol_cfg.t_low, pol_cfg.t_high))
-        pol = cache.get(level)
-        if pol is None:
-            pol = assign_policy(s, pol_cfg)
-            cache[level] = pol
-        return pol
-
-    return assign
-
-
 @dataclass(frozen=True)
 class _CubePlanner:
     """One unit per cube, in score order, with the policy its score earns
@@ -281,10 +265,9 @@ class _CubePlanner:
 
     def plan(self, theta: float, scores, by_id) -> list[tuple[CubeId, float, ProtectionPolicy]]:
         pol_cfg = replace(self.policy, theta=theta)
-        assign = _policy_assigner(pol_cfg)
         if self.budget is None:
-            return [(r.cube_id, r.s, assign(r.s)) for r in scores]
-        triplets = [(by_id[r.cube_id], r.s, assign(r.s)) for r in scores]
+            return [(r.cube_id, r.s, assign_policy(r.s, pol_cfg)) for r in scores]
+        triplets = [(by_id[r.cube_id], r.s, assign_policy(r.s, pol_cfg)) for r in scores]
         adjusted, _cost, _exhausted = enforce_budget(triplets, self.budget, cfg=pol_cfg)
         return [(cube.id, s, pol) for cube, s, pol in adjusted]
 

@@ -7,8 +7,9 @@ Frame file format (whitespace-separated ASCII, one point per line):
     #anchor x y z
     x y z r g b [sensitivity]
 
-``sensitivity`` is 0 (none) or 1 (sensitive) and defaults to 0 when the
-column is absent. Header comments are optional; viewpoint and anchor
+Color channels are whole numbers in [0, 255]. ``sensitivity`` is 0
+(none) or 1 (sensitive) and defaults to 0 when the column is absent.
+Header comments are optional; viewpoint and anchor must be finite and
 default to the origin.
 
 The generator emits human-like test scenes with a fully specified layout:
@@ -70,6 +71,8 @@ class PointCloudFrame:
             )
         if n and not np.isfinite(self.positions).all():
             raise ValidationError(f"frame {self.frame_id}: non-finite coordinate")
+        if not (np.isfinite(self.viewpoint).all() and np.isfinite(self.user_anchor).all()):
+            raise ValidationError(f"frame {self.frame_id}: non-finite viewpoint or anchor")
 
     @property
     def num_points(self) -> int:
@@ -151,9 +154,9 @@ def load_frame(path, frame_id: int | None = None) -> PointCloudFrame:
                 raise FrameParseError(f"line {lineno}: non-numeric field") from None
             if not all(math.isfinite(v) for v in vals[:3]):
                 raise ValidationError(f"line {lineno}: non-finite coordinate")
-            if not all(0 <= c <= 255 for c in vals[3:6]):
-                raise ValidationError(f"line {lineno}: color channel outside [0, 255]")
-            sens = int(vals[6]) if len(vals) == 7 else 0
+            if not all(0 <= c <= 255 and c.is_integer() for c in vals[3:6]):
+                raise ValidationError(f"line {lineno}: color channel not a whole number in [0, 255]")
+            sens = vals[6] if len(vals) == 7 else 0
             if sens not in (0, 1):
                 raise ValidationError(f"line {lineno}: sensitivity must be 0 or 1")
             rows.append((*vals[:6], sens))

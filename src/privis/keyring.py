@@ -68,7 +68,10 @@ class RootKey:
     def from_hex(cls, key_hex: str, session_id: bytes | None = None) -> "RootKey":
         """Reproducible provisioning: 64 hex chars; session id defaults to
         the first 16 bytes of SHA-256 over the key (stable per root)."""
-        material = bytes.fromhex(key_hex)
+        try:
+            material = bytes.fromhex(key_hex)
+        except ValueError:
+            raise ValidationError("root key must be 64 hex characters") from None
         if session_id is None:
             session_id = hashlib.sha256(material).digest()[:16]
         return cls(material, session_id)

@@ -1,17 +1,22 @@
 """Saliency-to-protection mapping and per-frame cost budgeting.
 
 Each cube's protection tuple is (key rotation interval, encryption scope,
-shaping strength). The level table is fixed; shaping strength follows the
-saliency score directly once it crosses the shaping threshold. A greedy
-budget pass downgrades the least salient non-Low cubes one level at a time
-until the estimated per-frame protection cost fits the budget.
+shaping strength sigma). ``PolicyConfig.levels`` is the protection table,
+built once per config: one row per level, the level's sigma = 0 policy.
+HIGH and MED cover the full payload, LOW the geometry only, each rotating
+on its configured interval. A score at or below the shaping threshold
+theta gets its level's row as is; above it, the row with sigma = s. A
+greedy budget pass downgrades the least salient non-LOW cubes one row at a
+time, keeping sigma, until the estimated per-frame protection cost fits
+the budget.
 """
 
 from __future__ import annotations
 
 import enum
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import BudgetExceededWarning, ConfigError, ValidationError
 
@@ -73,6 +78,15 @@ class PolicyConfig:
         if not 0 < self.interval_high <= self.interval_med <= self.interval_low:
             raise ConfigError("rotation intervals must be ordered high <= med <= low")
 
+    @cached_property
+    def levels(self) -> tuple[ProtectionPolicy, ...]:
+        """The protection table: row ``level`` is that level's sigma = 0 policy."""
+        return (
+            ProtectionPolicy(ProtectionLevel.LOW, self.interval_low, Scope.GEOMETRY_ONLY, 0.0),
+            ProtectionPolicy(ProtectionLevel.MED, self.interval_med, Scope.FULL_PAYLOAD, 0.0),
+            ProtectionPolicy(ProtectionLevel.HIGH, self.interval_high, Scope.FULL_PAYLOAD, 0.0),
+        )
+
 
 @dataclass(frozen=True)
 class CostModel:
@@ -105,35 +119,34 @@ def protection_level(s: float, thresholds: tuple[float, float] = (0.33, 0.66)) -
     return ProtectionLevel.HIGH
 
 
-def _level_tuple(level: ProtectionLevel, cfg: PolicyConfig) -> tuple[int, Scope]:
-    if level is ProtectionLevel.HIGH:
-        return cfg.interval_high, Scope.FULL_PAYLOAD
-    if level is ProtectionLevel.MED:
-        return cfg.interval_med, Scope.FULL_PAYLOAD
-    return cfg.interval_low, Scope.GEOMETRY_ONLY
+def _shaped(row: ProtectionPolicy, sigma: float) -> ProtectionPolicy:
+    """``row`` at shaping strength ``sigma``; the shared row itself at 0."""
+    if sigma == 0.0:
+        return row
+    return ProtectionPolicy(row.level, row.key_rotation_interval, row.scope, sigma)
 
 
 def assign_policy(s: float, cfg: PolicyConfig = PolicyConfig()) -> ProtectionPolicy:
-    """Map a saliency score to its protection tuple."""
+    """Map a saliency score to its protection tuple: its level's row of
+    ``cfg.levels``, with sigma = s above theta."""
     if not 0.0 <= s <= 1.0:
         raise ValidationError(f"saliency {s} outside [0, 1]")
-    level = protection_level(s, (cfg.t_low, cfg.t_high))
-    interval, scope = _level_tuple(level, cfg)
-    sigma = s if s > cfg.theta else 0.0
-    return ProtectionPolicy(level, interval, scope, sigma)
+    row = cfg.levels[protection_level(s, (cfg.t_low, cfg.t_high))]
+    return _shaped(row, s if s > cfg.theta else 0.0)
 
 
-def _estimate_cost(
-    entries: list[tuple[int, int, float, ProtectionPolicy]], model: CostModel
-) -> float:
-    """Total per-frame cost of (geometry_bytes, attribute_bytes, s, policy) entries.
+def _estimate_cost(entries: list[tuple[object, float, ProtectionPolicy]], model: CostModel) -> float:
+    """Total per-frame cost of (cube, s, policy) entries.
 
-    Rekey cost is amortized over the rotation interval; encryption cost
-    covers only bytes inside the confidentiality scope.
+    A cube's geometry and attribute bytes are its ``num_points`` times the
+    serialization strides, 12 and 4. Rekey cost is amortized over the
+    rotation interval; encryption cost covers only bytes inside the
+    confidentiality scope.
     """
     total = 0.0
-    for geo_bytes, attr_bytes, _s, pol in entries:
-        in_scope = geo_bytes + (attr_bytes if pol.scope is Scope.FULL_PAYLOAD else 0)
+    for cube, _s, pol in entries:
+        n = cube.num_points
+        in_scope = 12 * n + (4 * n if pol.scope is Scope.FULL_PAYLOAD else 0)
         total += in_scope * model.per_byte_ms
         total += model.per_rekey_ms / pol.key_rotation_interval
         total += model.shaping_delay_ms * pol.shaping_strength
@@ -147,26 +160,18 @@ def enforce_budget(
 ) -> tuple[list[tuple[object, float, ProtectionPolicy]], float, bool]:
     """Downgrade until the estimated cost fits gamma.
 
-    ``policies`` holds (cube, s, policy); a cube's (geometry_bytes,
-    attribute_bytes) are its point count times the serialization strides.
+    ``policies`` holds (cube, s, policy), each cube with a ``num_points``.
     Returns (adjusted, estimated_cost, exhausted) where exhausted means the
     budget was unattainable even with every cube at LOW; in that case a
     BudgetExceededWarning is emitted and all cubes are LOW (protection
     never drops below the floor).
 
-    Downgrades go to the lowest-saliency cube above LOW, one level at a
-    time, which preserves the dominance ordering.
+    Downgrades go to the lowest-saliency cube above LOW, one row of
+    ``cfg.levels`` at a time with sigma kept, which preserves the dominance
+    ordering.
     """
     adjusted = list(policies)
-
-    def sizes(cube) -> tuple[int, int]:
-        n = getattr(cube, "num_points", 0)
-        return 12 * n, 4 * n
-
-    def entries():
-        return [(*sizes(c), s, p) for (c, s, p) in adjusted]
-
-    cost = _estimate_cost(entries(), budget.cost_model)
+    cost = _estimate_cost(adjusted, budget.cost_model)
     while cost > budget.gamma_ms:
         candidates = [
             (s, i) for i, (_c, s, p) in enumerate(adjusted) if p.level > ProtectionLevel.LOW
@@ -180,8 +185,6 @@ def enforce_budget(
             return adjusted, cost, True
         _s, idx = min(candidates)
         cube, s, pol = adjusted[idx]
-        new_level = ProtectionLevel(pol.level - 1)
-        interval, scope = _level_tuple(new_level, cfg)
-        adjusted[idx] = (cube, s, replace(pol, level=new_level, key_rotation_interval=interval, scope=scope))
-        cost = _estimate_cost(entries(), budget.cost_model)
+        adjusted[idx] = (cube, s, _shaped(cfg.levels[pol.level - 1], pol.shaping_strength))
+        cost = _estimate_cost(adjusted, budget.cost_model)
     return adjusted, cost, False

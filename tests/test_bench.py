@@ -204,6 +204,21 @@ def test_cli_comparison_exit_codes(capsys, monkeypatch, tmp_path):
     assert "ORDERING VIOLATION" in captured.err
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [["--frames", "0"], ["--loss", "1.5"], ["--theta", "2"], ["--target-cubes", "0"], ["--root-key", "zz"]],
+    ids=lambda bad: bad[0],
+)
+def test_cli_bad_argument_is_a_usage_error(bad, capsys, monkeypatch):
+    """A value that a config or the root key rejects exits with status 2
+    and the usage line, not a traceback and the ordering-violation status."""
+    monkeypatch.delenv("PRIVIS_ROOT_KEY", raising=False)
+    with pytest.raises(SystemExit) as exc:
+        main(["--mode", "noenc", "--frames", "1", "--points", "1000", *bad])
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+
+
 def test_compare_modes_shares_scene_and_seeds():
     comp = compare_modes(replace(small_cfg(), content_digests=True))
     assert set(comp.results) == set(MODES)

@@ -17,7 +17,12 @@ DEMOS = sorted(glob.glob(os.path.join(REPO, "demos", "*.py")))
 
 @pytest.mark.parametrize("path", DEMOS, ids=os.path.basename)
 def test_demo_runs(path, tmp_path):
-    env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
+    # the child does not inherit pytest's -W flags; fail it on the same warnings
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.path.join(REPO, "src"),
+        PYTHONWARNINGS="error::DeprecationWarning,error::RuntimeWarning",
+    )
     proc = subprocess.run(
         [sys.executable, path], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
     )

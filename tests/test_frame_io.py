@@ -62,16 +62,18 @@ def test_wrong_field_count_rejected(tmp_path):
 
 def test_non_finite_coordinate_rejected(tmp_path):
     p = tmp_path / "inf.txt"
-    p.write_text("inf 0 0 1 1 1\n")
-    with pytest.raises(ValidationError):
-        load_frame(p)
+    for text in ("inf 0 0 1 1 1\n", "#viewpoint nan 0 0\n0 0 0 1 1 1\n", "#anchor inf 0 0\n"):
+        p.write_text(text)
+        with pytest.raises(ValidationError):
+            load_frame(p)
 
 
 def test_color_range_enforced(tmp_path):
     p = tmp_path / "col.txt"
-    p.write_text("0 0 0 300 0 0\n")
-    with pytest.raises(ValidationError):
-        load_frame(p)
+    for line in ("0 0 0 300 0 0", "0 0 0 12.5 200 3 0", "0 0 0 12 200 3 0.9", "0 0 0 12 200 3 1.7"):
+        p.write_text(f"0 0 0 1 1 1\n{line}\n")
+        with pytest.raises(ValidationError, match="line 2"):
+            load_frame(p)
 
 
 def test_write_load_round_trip(tmp_path, small_frames):

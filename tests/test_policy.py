@@ -8,6 +8,7 @@ from privis.policy import (
     PolicyBudget,
     PolicyConfig,
     ProtectionLevel,
+    ProtectionPolicy,
     Scope,
     assign_policy,
     enforce_budget,
@@ -70,6 +71,26 @@ def test_high_implies_full_payload_and_interval_one():
         pol = assign_policy(s)
         assert pol.scope is Scope.FULL_PAYLOAD
         assert pol.key_rotation_interval == 1
+
+
+CUSTOM = PolicyConfig(interval_high=2, interval_med=4, interval_low=8)
+
+
+def test_assign_uses_configured_intervals():
+    for s, level, interval in ((0.9, ProtectionLevel.HIGH, 2), (0.5, ProtectionLevel.MED, 4), (0.1, ProtectionLevel.LOW, 8)):
+        pol = assign_policy(s, CUSTOM)
+        assert pol.level is level
+        assert pol.key_rotation_interval == interval
+
+
+def test_sigma_zero_policies_are_the_table_rows():
+    assert [row.level for row in CUSTOM.levels] == list(ProtectionLevel)
+    for s in (0.0, 0.2, 0.33, 0.5, 0.6):  # at or below theta = 0.6
+        pol = assign_policy(s, CUSTOM)
+        assert pol is CUSTOM.levels[pol.level]
+    pol = assign_policy(0.9, CUSTOM)
+    row = CUSTOM.levels[ProtectionLevel.HIGH]
+    assert pol == ProtectionPolicy(row.level, row.key_rotation_interval, row.scope, 0.9)
 
 
 def test_out_of_range_saliency_rejected():
@@ -164,6 +185,25 @@ def test_downgrade_matches_reference_simulation():
         assert [p.level for _c, _s, p in adjusted] == [p.level for _c, _s, p in ref]
         if not exhausted:
             assert cost <= gamma
+
+
+def test_downgrade_lands_on_next_row_with_sigma_kept():
+    cube = FakeCube("a", 100)
+    for s in (0.9, 0.5):  # shaped HIGH, unshaped MED
+        pol = assign_policy(s, CUSTOM)
+        budget = PolicyBudget(gamma_ms=total_cost([(cube, s, pol)]) - 1e-9, cost_model=MODEL)
+        adjusted, _cost, exhausted = enforce_budget([(cube, s, pol)], budget, cfg=CUSTOM)
+        assert not exhausted
+        new = adjusted[0][2]
+        row = CUSTOM.levels[pol.level - 1]
+        assert new == ProtectionPolicy(row.level, row.key_rotation_interval, row.scope, pol.shaping_strength)
+        if pol.shaping_strength == 0.0:
+            assert new is row
+
+
+def test_budget_entry_without_point_count_raises():
+    with pytest.raises(AttributeError):
+        enforce_budget([(object(), 0.5, assign_policy(0.5))], PolicyBudget(cost_model=MODEL))
 
 
 def test_budget_preserves_dominance():
