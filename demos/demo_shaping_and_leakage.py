@@ -26,6 +26,7 @@ base = RunConfig(
     policy=PolicyConfig(t_low=0.45, t_high=0.5),
     net=NetConfig(mtu=6400, seed=3),
     adaptation_enabled=False,
+    keep_units=True,  # keep the per-flow leakage samples
 )
 
 for label, enabled in (("shaping disabled", False), ("shaping enabled", True)):

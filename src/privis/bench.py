@@ -152,7 +152,9 @@ class RunConfig:
     shaping_enabled: bool = True
     adaptation_enabled: bool = True
     content_digests: bool = False
-    keep_units: bool = False  # retain sealed unit bytes for offline checks
+    # keep the per-unit records (sealed_units, unit_records, mi_samples) for
+    # offline checks; without it a session's memory does not grow per unit
+    keep_units: bool = False
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
@@ -176,7 +178,8 @@ class LatencyBreakdown:
 
 @dataclass(frozen=True)
 class UnitRecord:
-    """Per sealed-and-sent unit bookkeeping used by tests and reports."""
+    """Per sealed-and-sent unit bookkeeping used by tests and reports,
+    kept with ``RunConfig.keep_units``."""
 
     frame_id: int
     cube_id: CubeId
@@ -192,16 +195,23 @@ class UnitRecord:
 
 @dataclass
 class SessionResult:
+    """What a session records. The per-frame fields fill on every run; the
+    per-unit ones only with ``RunConfig.keep_units``, and stay empty
+    otherwise."""
+
     mode: str
     config: RunConfig
-    frame_rows: list[dict] = field(default_factory=list)
-    mean: LatencyBreakdown = field(default_factory=LatencyBreakdown)
+    frame_rows: list[dict] = field(default_factory=list)  # one per frame
+    mean: LatencyBreakdown = field(default_factory=LatencyBreakdown)  # set by finalize
+    # every sent unit, in send order (keep_units)
     unit_records: list[UnitRecord] = field(default_factory=list)
+    # (level, flow features) per privis flow-frame (keep_units)
     mi_samples: list[tuple[int, tuple[float, float, float]]] = field(default_factory=list)
-    leakage_windows: list[dict] = field(default_factory=list)
-    failure_log: list = field(default_factory=list)
-    summaries: list[FrameSummary] = field(default_factory=list)
-    content_digest_by_frame: dict[int, str] = field(default_factory=dict)
+    leakage_windows: list[dict] = field(default_factory=list)  # one per closed window, with adaptation on
+    failure_log: list = field(default_factory=list)  # the client's log, copied by finalize
+    summaries: list[FrameSummary] = field(default_factory=list)  # one per frame
+    content_digest_by_frame: dict[int, str] = field(default_factory=dict)  # with content_digests
+    # every sent unit's wire bytes, by (frame, cube) (keep_units)
     sealed_units: dict[tuple[int, CubeId], bytes] = field(default_factory=dict)
 
 
@@ -388,7 +398,7 @@ class Session:
         self.theta = cfg.policy.theta
         self.prev_cubes: CubeSet | None = None
         self.prev_frame: PointCloudFrame | None = None
-        self._window_start = 0  # index into result.mi_samples of the open leakage window
+        self._window: list[tuple[int, tuple[float, float, float]]] = []  # open leakage window's samples
 
     def run(self) -> SessionResult:
         for i in range(self.cfg.scene.frame_count):
@@ -459,27 +469,26 @@ class Session:
             frags = packetize(unit, cid, i, cfg.net.mtu)
             bytes_sent += len(unit) + FRAG_HEADER_LEN * len(frags)
             times = [nominal_time] * len(frags)
-            jitters = (0.0,) * len(frags)
+            jitters = None
             if rng is not None:
                 shaped_units += 1
-                times, jit = shape_times(times, pol.shaping_strength, cfg.shaping, rng)
-                jitters = tuple(jit)
+                times, jitters = shape_times(times, pol.shaping_strength, cfg.shaping, rng)
             sendlist.extend(zip(frags, times))
-            result.unit_records.append(
-                UnitRecord(
-                    frame_id=i,
-                    cube_id=cid,
-                    s=s,
-                    level=int(pol.level),
-                    sigma=pol.shaping_strength,
-                    base_len=len(unit) - pad,
-                    padded_len=len(unit),
-                    send_times=tuple(times),
-                    nominal_time=nominal_time,
-                    jitters=jitters,
-                )
-            )
             if cfg.keep_units:
+                result.unit_records.append(
+                    UnitRecord(
+                        frame_id=i,
+                        cube_id=cid,
+                        s=s,
+                        level=int(pol.level),
+                        sigma=pol.shaping_strength,
+                        base_len=len(unit) - pad,
+                        padded_len=len(unit),
+                        send_times=tuple(times),
+                        nominal_time=nominal_time,
+                        jitters=(0.0,) * len(frags) if jitters is None else tuple(jitters),
+                    )
+                )
                 result.sealed_units[(i, cid)] = unit
         clock.switch(None)
 
@@ -507,14 +516,16 @@ class Session:
         result.summaries.append(summary)
 
         total_s = time.perf_counter() - t_frame0 - net_cost_s
-        # leakage samples and adaptation over the window since _window_start
+        # leakage samples of the open window, and adaptation when it closes
         if self._adapt:
-            for cid, trace in traces.items():
-                result.mi_samples.append((int(plan[cid][1].level), trace_features(trace)))
-            if cfg.adaptation_enabled and (i + 1) % cfg.leakage.window_frames == 0:
-                window = result.mi_samples[self._window_start :]
-                theta = _run_adaptation(cfg, result, window, theta, i)
-                self._window_start = len(result.mi_samples)
+            samples = [(int(plan[cid][1].level), trace_features(trace)) for cid, trace in traces.items()]
+            self._window.extend(samples)
+            if cfg.keep_units:
+                result.mi_samples.extend(samples)
+            if (i + 1) % cfg.leakage.window_frames == 0:
+                if cfg.adaptation_enabled:
+                    theta = _run_adaptation(cfg, result, self._window, theta, i)
+                self._window = []
 
         if cfg.content_digests:
             rendered = {

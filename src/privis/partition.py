@@ -49,6 +49,7 @@ class Cube:
     id: CubeId
     point_indices: np.ndarray  # indices into the frame's point arrays
     centroid: np.ndarray  # (3,)
+    sensitive_points: int  # members carrying the sensitive label
 
     @property
     def num_points(self) -> int:
@@ -151,8 +152,9 @@ def _count_nonempty(positions: np.ndarray, origin: np.ndarray, edge: float) -> t
     return len(_distinct(keys)), keys
 
 
-def _build_cubes(positions: np.ndarray, keys: np.ndarray, points: np.ndarray | None = None) -> list[Cube]:
-    """Group points by packed cell key; returns the cubes in id order.
+def _build_cubes(frame: PointCloudFrame, keys: np.ndarray, points: np.ndarray | None = None) -> list[Cube]:
+    """Group a frame's points by packed cell key; returns the cubes in id
+    order, each with its centroid and sensitive-point count.
 
     ``keys`` holds one key per point of the frame. Keys order cells
     lexicographically, so the groups come out sorted by CubeId. ``points``,
@@ -171,20 +173,21 @@ def _build_cubes(positions: np.ndarray, keys: np.ndarray, points: np.ndarray | N
     np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=first[1:])
     starts = np.flatnonzero(first)
     counts = np.diff(starts, append=n)
-    sorted_pos = np.take(positions, members, axis=0)
+    sorted_pos = np.take(frame.positions, members, axis=0)
     centroids = np.add.reduceat(sorted_pos, starts, axis=0) / counts[:, None]
+    labels = np.add.reduceat(np.take(frame.sensitivity, members), starts, dtype=np.int64).tolist()
     ids = _unpack_keys(np.take(sorted_keys, starts)).tolist()
     bounds = np.append(starts, n).tolist()
     return [
-        Cube(CubeId(*cid), members[a:b], centroid)
-        for cid, a, b, centroid in zip(ids, bounds, bounds[1:], centroids)
+        Cube(CubeId(*cid), members[a:b], centroid, label_sum)
+        for cid, a, b, centroid, label_sum in zip(ids, bounds, bounds[1:], centroids, labels)
     ]
 
 
 def _cube_set(
     frame: PointCloudFrame, boundary_epoch: int, edge: float, origin: np.ndarray, keys: np.ndarray
 ) -> CubeSet:
-    cubes = _build_cubes(frame.positions, keys)
+    cubes = _build_cubes(frame, keys)
     return CubeSet(frame.frame_id, cubes, boundary_epoch, edge, origin, keys)
 
 
@@ -258,7 +261,7 @@ def membership_change_fraction(prev: CubeSet, frame: PointCloudFrame) -> float:
 
 
 def _regroup(
-    prev_cubes: list[Cube], positions: np.ndarray, keys: np.ndarray, touched: np.ndarray
+    prev_cubes: list[Cube], frame: PointCloudFrame, keys: np.ndarray, touched: np.ndarray
 ) -> list[Cube]:
     """The cubes for ``keys`` when only the cells keyed in ``touched`` can
     differ from ``prev_cubes``: other cubes are kept as they are, touched
@@ -272,7 +275,7 @@ def _regroup(
     if not stale:
         return kept
     members = np.sort(np.concatenate([c.point_indices for c in stale]))
-    return sorted(kept + _build_cubes(positions, keys, members), key=attrgetter("id"))
+    return sorted(kept + _build_cubes(frame, keys, members), key=attrgetter("id"))
 
 
 def reuse_or_repartition(
@@ -299,7 +302,9 @@ def reuse_or_repartition(
 
     The session's mask marks every content change (position, color or
     label), not only moves, so a cube that is still ``prev``'s object
-    (CubeSet.rebuilt_since) holds the content it held before.
+    (CubeSet.rebuilt_since) holds the content it held before, and its
+    ``sensitive_points`` still counts its labels. A mask that leaves a
+    relabeled point unmarked keeps that cube's stale count.
     """
     n = frame.num_points
     origin, edge = prev.grid_origin, prev.grid_edge
@@ -321,5 +326,5 @@ def reuse_or_repartition(
         return _cube_set(frame, prev.boundary_epoch, edge, origin, located)
     keys = prev.point_keys.copy()
     keys[idx] = located
-    cubes = _regroup(prev.cubes, frame.positions, keys, np.concatenate([before, located]))
+    cubes = _regroup(prev.cubes, frame, keys, np.concatenate([before, located]))
     return CubeSet(frame.frame_id, cubes, prev.boundary_epoch, edge, origin, keys)

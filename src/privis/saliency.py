@@ -147,7 +147,9 @@ def score_cubes(
     and privacy_saliency applied per cube. Motion is measured against the
     nearest previous centroid within two grid edges, not against the cube
     with the same id: content that moved across a cell boundary would
-    otherwise lose its motion history exactly when it matters.
+    otherwise lose its motion history exactly when it matters. Label
+    exposure reads each cube's ``sensitive_points``, counted when the cube
+    was built.
     """
     if not cubes.cubes:
         return []
@@ -155,8 +157,6 @@ def score_cubes(
     if not counts.all():
         raise ValidationError("saliency of an empty cube")
     centroids = np.array([c.centroid for c in cubes.cubes])
-    members = np.concatenate([c.point_indices for c in cubes.cubes])
-    starts = np.cumsum(counts) - counts
 
     motion = np.zeros(len(counts))
     if prev_cubes is not None and prev_cubes.cubes:
@@ -171,8 +171,8 @@ def score_cubes(
     view = 1.0 / (1.0 + _row_norms(centroids - frame.viewpoint) / cfg.proximity_scale)
     phi_p = _clamp01(cfg.w_density * density + cfg.w_motion * motion + cfg.w_view * view)
 
-    # integer label sums keep the exposure equal to the per-cube float mean
-    labels = np.add.reduceat(np.take(frame.sensitivity, members), starts, dtype=np.int64)
+    # integer label counts keep the exposure equal to the per-cube float mean
+    labels = np.array([c.sensitive_points for c in cubes.cubes], dtype=np.int64)
     exposure = labels / counts
     user = 1.0 / (1.0 + _row_norms(centroids - frame.user_anchor) / cfg.proximity_scale)
     phi_s = _clamp01(cfg.w_identity * exposure + cfg.w_user * user)

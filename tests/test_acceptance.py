@@ -256,6 +256,7 @@ def leakage_runs():
         policy=PolicyConfig(t_low=0.45, t_high=0.5),
         net=NetConfig(mtu=6400, seed=3),
         adaptation_enabled=False,
+        keep_units=True,
     )
     on = run_session(base)
     off = run_session(replace(base, shaping_enabled=False))

@@ -1,6 +1,8 @@
 import csv
+import gc
 import os
 import statistics
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -8,6 +10,7 @@ import pytest
 from privis.bench import (
     MODES,
     RunConfig,
+    Session,
     _PlainCodec,
     compare_modes,
     default_scene,
@@ -52,8 +55,8 @@ NON_TIMING = [
 
 @pytest.mark.parametrize("mode", MODES)
 def test_run_deterministic_except_wall_clock(mode):
-    a = run_session(small_cfg(mode))
-    b = run_session(small_cfg(mode))
+    a = run_session(small_cfg(mode, keep_units=True))
+    b = run_session(small_cfg(mode, keep_units=True))
     for ra, rb in zip(a.frame_rows, b.frame_rows):
         for col in NON_TIMING:
             assert ra[col] == rb[col], col
@@ -283,8 +286,60 @@ def test_mean_is_the_mean_of_the_frame_rows(mode):
         assert value == pytest.approx(statistics.fmean(row[f"{stage}_ms"] for row in r.frame_rows)), stage
 
 
+@pytest.mark.parametrize(
+    "mode, net",
+    [(m, NetConfig()) for m in MODES] + [("privis", NetConfig(loss_prob=0.05, reorder_prob=0.05, seed=3))],
+    ids=[*MODES, "privis-lossy"],
+)
+def test_keep_units_changes_retention_only(mode, net):
+    """keep_units adds the per-unit records and changes nothing else: the
+    frame rows (theta trace included), summaries, leakage windows and
+    failure log are the same without it, and the per-unit records empty."""
+    cfg = small_cfg(mode, net=net, leakage=replace(small_cfg().leakage, window_frames=3))
+    off = run_session(cfg)
+    on = run_session(replace(cfg, keep_units=True))
+    assert [[row[col] for col in NON_TIMING] for row in off.frame_rows] == [
+        [row[col] for col in NON_TIMING] for row in on.frame_rows
+    ]
+    assert off.summaries == on.summaries
+    assert off.leakage_windows == on.leakage_windows
+    assert off.failure_log == on.failure_log
+    assert (off.unit_records, off.sealed_units, off.mi_samples) == ([], {}, [])
+    assert len(on.unit_records) == len(on.sealed_units) == sum(row["sent_units"] for row in on.frame_rows)
+    assert bool(on.mi_samples) == (mode == "privis")
+    if mode == "privis":
+        assert len(on.leakage_windows) == 2
+
+
+def test_default_session_heap_does_not_grow_per_unit():
+    """Without keep_units, the traced heap grows per frame by the frame's
+    own row and summary (about 1 kB), not by a record per unit sent: about
+    20 units a frame here, whose records take about 15 kB a frame."""
+    warm, frames = 20, 80
+    session = Session(replace(small_cfg(), scene=replace(SMALL, frame_count=frames)))
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        for i in range(warm):
+            session.step(i)
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(warm, frames):
+            session.step(i)
+        gc.collect()
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        if started:
+            tracemalloc.stop()
+    units = sum(row["sent_units"] for row in session.result.frame_rows[warm:]) / (frames - warm)
+    per_frame = (after - before) / (frames - warm)
+    assert units > 10
+    assert per_frame < 5_000, f"{per_frame:.0f} bytes a frame over {units:.1f} units a frame"
+
+
 def test_leakage_windows_cover_every_mi_sample():
-    cfg = small_cfg("privis", leakage=replace(small_cfg().leakage, window_frames=3))
+    cfg = small_cfg("privis", leakage=replace(small_cfg().leakage, window_frames=3), keep_units=True)
     r = run_session(replace(cfg, scene=replace(SMALL, frame_count=9)))
     assert len(r.leakage_windows) == 3
     assert sum(w["samples"] for w in r.leakage_windows) == len(r.mi_samples)

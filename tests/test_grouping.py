@@ -80,6 +80,7 @@ def _assert_same_cube_set(a, b):
     for x, y in zip(a.cubes, b.cubes):
         assert np.array_equal(x.point_indices, y.point_indices)
         assert x.centroid.tobytes() == y.centroid.tobytes(), x.id
+        assert x.sensitive_points == y.sensitive_points, x.id
     assert a.point_keys.tobytes() == b.point_keys.tobytes()
 
 

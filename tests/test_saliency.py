@@ -47,7 +47,7 @@ def make_cube(frame):
 
     idx = np.arange(frame.num_points)
     pts = frame.positions
-    return Cube(CubeId(0, 0, 0), idx, pts.mean(axis=0))
+    return Cube(CubeId(0, 0, 0), idx, pts.mean(axis=0), int(frame.sensitivity.sum()))
 
 
 def test_single_cube_frame_degenerate_case():
@@ -107,7 +107,7 @@ def test_privacy_exposure_fraction_direct_count():
 
 def test_empty_cube_rejected(small_frames, small_cubes):
     cube = small_cubes.cubes[0]
-    empty = type(cube)(cube.id, np.array([], dtype=np.int64), cube.centroid)
+    empty = type(cube)(cube.id, np.array([], dtype=np.int64), cube.centroid, 0)
     with pytest.raises(ValidationError):
         perceptual_saliency(empty, small_frames[0], None, CFG)
     with pytest.raises(ValidationError):
