@@ -34,8 +34,12 @@ Per-frame stage accounting (wall time, monotonic clock):
 Refresh rule: a unit is sealed and sent again when its key rotated this
 frame or its cube is not the previous frame's object for that id
 (CubeSet.rebuilt_since: new, re-partitioned, or a cell a changed point
-left or entered); otherwise the receiver keeps rendering its held-over
-verified copy. The client takes every datagram that arrives, since
+left, entered or touched); otherwise the receiver keeps rendering its
+held-over verified copy. A frame with no changed point reuses the
+previous CubeSet whole, and a kept cube's payload is the plaintext
+serialize_cube already holds on it, so a rotation reseals unchanged
+content without packing it again; serialize_cube is still called once
+per sent unit. The client takes every datagram that arrives, since
 shaping already holds each within the motion-to-photon budget of its
 frame's send time. The emulated network runs on virtual time and is
 excluded from the latency accounting.
@@ -250,18 +254,25 @@ def _content_digest(plaintexts: dict[CubeId, CubePlaintext]) -> str:
     return hashlib.sha256(allrows[order].tobytes()).hexdigest()
 
 
-def _changed_mask(frame: PointCloudFrame, prev: PointCloudFrame | None) -> np.ndarray | None:
-    """Per-point moved/recolored/relabeled mask against the previous frame;
-    None means everything counts as changed (first frame or point-count
-    change). Columns are compared one at a time and ORed in place, which
-    gives the bits of np.any(a != b, axis=1) several times faster."""
+def _changed_points(frame: PointCloudFrame, prev: PointCloudFrame | None) -> np.ndarray | None:
+    """Ascending indices of the points moved, recolored or relabeled since
+    the previous frame; None means everything counts as changed (first
+    frame or point-count change). One flat ``!=`` per array, whose hits
+    divide down to rows: the same bits as comparing column by column, so
+    -0.0 against 0.0 is no change, and a static frame yields no index."""
     if prev is None or prev.num_points != frame.num_points:
         return None
-    changed = frame.sensitivity != prev.sensitivity
-    for col in range(3):
-        changed |= frame.positions[:, col] != prev.positions[:, col]
-        changed |= frame.colors[:, col] != prev.colors[:, col]
-    return changed
+    hits = [
+        np.flatnonzero(frame.positions != prev.positions) // 3,
+        np.flatnonzero(frame.colors != prev.colors) // 3,
+        np.flatnonzero(frame.sensitivity != prev.sensitivity),
+    ]
+    rows = np.concatenate(hits)
+    rows.sort(kind="stable")  # ascending runs: merged, not sorted afresh
+    first = np.empty(len(rows), dtype=bool)
+    first[:1] = True
+    np.not_equal(rows[1:], rows[:-1], out=first[1:])
+    return rows[first]
 
 
 @dataclass(frozen=True)
@@ -424,10 +435,10 @@ class Session:
         t_frame0 = time.perf_counter()
         nominal_time = i * FRAME_INTERVAL_MS
 
-        # grouping and scoring (all modes, identical work); the change mask
-        # tells the grid reuse which points need locating again
+        # grouping and scoring (all modes, identical work); the changed
+        # points tell the grid reuse which points need locating again
         clock.switch("saliency_grouping")
-        changed = _changed_mask(frame, self.prev_frame)
+        changed = _changed_points(frame, self.prev_frame)
         if prev_cubes is None:
             cubes = partition_frame(frame, cfg.partition.target_cubes)
         else:
@@ -538,6 +549,8 @@ class Session:
             "frame": i,
             "cubes": len(cubes.cubes),
             "boundary_epoch": cubes.boundary_epoch,
+            "changed_points": frame.num_points if changed is None else len(changed),
+            "rebuilt_cubes": len(rebuilt),
             "shaped_cubes": shaped_units,
             "sent_units": len(refresh),
             "datagrams_sent": len(sendlist),

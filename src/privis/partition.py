@@ -9,18 +9,21 @@ point the frame is re-partitioned and the boundary epoch increments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from operator import attrgetter
-from typing import NamedTuple
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from .errors import ValidationError
 from .frame_io import PointCloudFrame
 
+if TYPE_CHECKING:
+    from .seal import CubePlaintext
+
 __all__ = [
     "CubeId",
     "Cube",
+    "CubeColumns",
     "CubeSet",
     "PartitionConfig",
     "partition_frame",
@@ -50,10 +53,25 @@ class Cube:
     point_indices: np.ndarray  # indices into the frame's point arrays
     centroid: np.ndarray  # (3,)
     sensitive_points: int  # members carrying the sensitive label
+    # the serialized content, held by seal.serialize_cube after its first call
+    plaintext: CubePlaintext | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def num_points(self) -> int:
         return len(self.point_indices)
+
+
+class CubeColumns(NamedTuple):
+    """Per-cube columns of a CubeSet, row j for its cube j: built with the
+    cubes, so scoring reads arrays instead of gathering from every Cube."""
+
+    keys: np.ndarray  # (K,) packed cell key, ascending
+    counts: np.ndarray  # (K,) int64 point count
+    centroids: np.ndarray  # (K, 3)
+    sensitive: np.ndarray  # (K,) int64 sensitive-point count
+
+    def take(self, rows: np.ndarray) -> CubeColumns:
+        return CubeColumns(*(col[rows] for col in self))
 
 
 @dataclass
@@ -61,9 +79,11 @@ class CubeSet:
     """All cubes of one frame plus the grid geometry they came from.
 
     The cubes are in CubeId order. Under a reused grid, consecutive
-    CubeSets share every Cube whose cell no changed point left or entered:
-    the same object, not a copy, so nothing may mutate a Cube or its
-    arrays once built.
+    CubeSets share every Cube whose cell no changed point left, entered or
+    touched: the same object, not a copy, so nothing may mutate a Cube or
+    its arrays once built, apart from the plaintext that serialize_cube
+    holds on it. A frame with no changed point shares ``prev``'s cube
+    list, columns and ``point_keys`` whole.
 
     The per-point cell record is ``point_keys``, one packed int64 key per
     point (see _pack_cells). Every grid partition_frame picks packs, and
@@ -76,19 +96,15 @@ class CubeSet:
     grid_edge: float
     grid_origin: np.ndarray  # (3,)
     point_keys: np.ndarray  # (N,) packed cell per point
+    columns: CubeColumns
 
     def by_id(self) -> dict[CubeId, Cube]:
         return {c.id: c for c in self.cubes}
 
-    def cube_ids_of(self, points: np.ndarray) -> set[CubeId]:
-        """Ids of the cubes holding the given point indices."""
-        rows = _unpack_keys(_distinct(np.take(self.point_keys, points)))
-        return {CubeId(*row) for row in rows.tolist()}
-
     def rebuilt_since(self, prev: CubeSet | None) -> set[CubeId]:
         """Ids of the cubes that are not ``prev``'s object for their id: all
         of them with no ``prev``, after a re-partition or a point-count
-        change, else the cells a marked point left or entered."""
+        change, else the cells a changed point left, entered or touched."""
         before = {} if prev is None else prev.by_id()
         return {c.id for c in self.cubes if before.get(c.id) is not c}
 
@@ -152,9 +168,12 @@ def _count_nonempty(positions: np.ndarray, origin: np.ndarray, edge: float) -> t
     return len(_distinct(keys)), keys
 
 
-def _build_cubes(frame: PointCloudFrame, keys: np.ndarray, points: np.ndarray | None = None) -> list[Cube]:
+def _build_cubes(
+    frame: PointCloudFrame, keys: np.ndarray, points: np.ndarray | None = None
+) -> tuple[list[Cube], CubeColumns]:
     """Group a frame's points by packed cell key; returns the cubes in id
-    order, each with its centroid and sensitive-point count.
+    order, each with its centroid and sensitive-point count, and their
+    columns.
 
     ``keys`` holds one key per point of the frame. Keys order cells
     lexicographically, so the groups come out sorted by CubeId. ``points``,
@@ -175,24 +194,28 @@ def _build_cubes(frame: PointCloudFrame, keys: np.ndarray, points: np.ndarray | 
     counts = np.diff(starts, append=n)
     sorted_pos = np.take(frame.positions, members, axis=0)
     centroids = np.add.reduceat(sorted_pos, starts, axis=0) / counts[:, None]
-    labels = np.add.reduceat(np.take(frame.sensitivity, members), starts, dtype=np.int64).tolist()
-    ids = _unpack_keys(np.take(sorted_keys, starts)).tolist()
+    labels = np.add.reduceat(np.take(frame.sensitivity, members), starts, dtype=np.int64)
+    cell_keys = np.take(sorted_keys, starts)
+    ids = _unpack_keys(cell_keys).tolist()
     bounds = np.append(starts, n).tolist()
-    return [
+    cubes = [
         Cube(CubeId(*cid), members[a:b], centroid, label_sum)
-        for cid, a, b, centroid, label_sum in zip(ids, bounds, bounds[1:], centroids, labels)
+        for cid, a, b, centroid, label_sum in zip(ids, bounds, bounds[1:], centroids, labels.tolist())
     ]
+    return cubes, CubeColumns(cell_keys, counts, centroids, labels)
 
 
 def _cube_set(
     frame: PointCloudFrame, boundary_epoch: int, edge: float, origin: np.ndarray, keys: np.ndarray
 ) -> CubeSet:
-    cubes = _build_cubes(frame, keys)
-    return CubeSet(frame.frame_id, cubes, boundary_epoch, edge, origin, keys)
+    cubes, columns = _build_cubes(frame, keys)
+    return CubeSet(frame.frame_id, cubes, boundary_epoch, edge, origin, keys, columns)
 
 
 def _empty(frame_id: int, boundary_epoch: int, edge: float, origin: np.ndarray) -> CubeSet:
-    return CubeSet(frame_id, [], boundary_epoch, edge, origin, np.empty(0, dtype=np.int64))
+    empty = np.empty(0, dtype=np.int64)
+    columns = CubeColumns(empty, empty, np.empty((0, 3)), empty)
+    return CubeSet(frame_id, [], boundary_epoch, edge, origin, empty, columns)
 
 
 def partition_frame(
@@ -261,28 +284,35 @@ def membership_change_fraction(prev: CubeSet, frame: PointCloudFrame) -> float:
 
 
 def _regroup(
-    prev_cubes: list[Cube], frame: PointCloudFrame, keys: np.ndarray, touched: np.ndarray
-) -> list[Cube]:
+    prev: CubeSet, frame: PointCloudFrame, keys: np.ndarray, touched: np.ndarray
+) -> tuple[list[Cube], CubeColumns]:
     """The cubes for ``keys`` when only the cells keyed in ``touched`` can
-    differ from ``prev_cubes``: other cubes are kept as they are, touched
-    ones are grouped again from their previous members. Every point now in
-    a touched cell was in one before (a point that entered one moved, and
-    the cell it left is touched too), so those members are all there is."""
-    touched_ids = {CubeId(*row) for row in _unpack_keys(_distinct(touched)).tolist()}
-    kept, stale = [], []
-    for cube in prev_cubes:
-        (stale if cube.id in touched_ids else kept).append(cube)
-    if not stale:
-        return kept
-    members = np.sort(np.concatenate([c.point_indices for c in stale]))
-    return sorted(kept + _build_cubes(frame, keys, members), key=attrgetter("id"))
+    differ from ``prev``'s: other cubes are kept as they are, touched ones
+    are grouped again from their previous members. Every point now in a
+    touched cell was in one before (a point that entered one moved, and
+    the cell it left is touched too), so those members are all there is.
+    The kept and the regrouped cubes hold disjoint cells, and both runs are
+    in key order, so one stable argsort of their keys merges them."""
+    cell_keys = prev.columns.keys
+    touched = _distinct(touched)  # a few cells: searching them is cheap
+    at = np.minimum(np.searchsorted(cell_keys, touched), len(cell_keys) - 1)
+    stale = np.zeros(len(cell_keys), dtype=bool)
+    stale[at[cell_keys[at] == touched]] = True
+    members = np.sort(np.concatenate([prev.cubes[j].point_indices for j in np.flatnonzero(stale).tolist()]))
+    built, built_columns = _build_cubes(frame, keys, members)
+    kept_rows = np.flatnonzero(~stale)
+    kept_columns = prev.columns.take(kept_rows)
+    pool = [prev.cubes[j] for j in kept_rows.tolist()] + built
+    order = np.argsort(np.concatenate([kept_columns.keys, built_columns.keys]), kind="stable")
+    columns = CubeColumns(*(np.concatenate(pair) for pair in zip(kept_columns, built_columns))).take(order)
+    return [pool[j] for j in order.tolist()], columns
 
 
 def reuse_or_repartition(
     prev: CubeSet,
     frame: PointCloudFrame,
     cfg: PartitionConfig = PartitionConfig(),
-    moved: np.ndarray | None = None,
+    changed: np.ndarray | None = None,
 ) -> CubeSet:
     """Keep the previous grid when the scene is stable, else re-partition.
 
@@ -292,26 +322,28 @@ def reuse_or_repartition(
     A point whose cell under the previous grid does not pack into a key
     always re-partitions the frame.
 
-    ``moved`` is a per-point mask that is True at least wherever the
-    position differs from the frame ``prev`` was built from; None marks
-    every point. Unmarked points keep their cell under a reused grid, so
-    only the marked ones are located again, and only the cubes whose cells
-    a marked point left or entered are grouped again; the others are
-    ``prev``'s Cube objects. The result is the same CubeSet, to the bit, as
-    with every point marked.
+    ``changed`` holds the indices of at least every point whose position,
+    color or label differs from the frame ``prev`` was built from; None
+    marks every point. Unmarked points keep their cell under a reused grid,
+    so only the marked ones are located again, and only the cubes whose
+    cells a marked point left, entered or touched are grouped again; the
+    others are ``prev``'s Cube objects. With no point marked, the result
+    shares ``prev``'s cubes, columns and ``point_keys`` outright. Either way
+    it is the same CubeSet, to the bit, as with every point marked.
 
-    The session's mask marks every content change (position, color or
-    label), not only moves, so a cube that is still ``prev``'s object
-    (CubeSet.rebuilt_since) holds the content it held before, and its
-    ``sensitive_points`` still counts its labels. A mask that leaves a
-    relabeled point unmarked keeps that cube's stale count.
+    A cube that is still ``prev``'s object (CubeSet.rebuilt_since) thus
+    holds the content it held before: its ``sensitive_points`` and the
+    plaintext serialize_cube holds on it stay right. Indices that leave out
+    a recolored or relabeled point keep that cube's stale count and bytes.
     """
     n = frame.num_points
     origin, edge = prev.grid_origin, prev.grid_edge
     if n == 0:
         return _empty(frame.frame_id, prev.boundary_epoch, edge, origin)
     resized = n != len(prev.point_keys)
-    idx = np.arange(n) if moved is None or resized else np.flatnonzero(moved)
+    if changed is not None and not resized and not len(changed):
+        return replace(prev, frame_id=frame.frame_id)
+    idx = np.arange(n) if changed is None or resized else changed
     located = _pack_cells(_cells_for(np.take(frame.positions, idx, axis=0), origin, edge))
     if located is None:
         fraction = np.inf
@@ -326,5 +358,5 @@ def reuse_or_repartition(
         return _cube_set(frame, prev.boundary_epoch, edge, origin, located)
     keys = prev.point_keys.copy()
     keys[idx] = located
-    cubes = _regroup(prev.cubes, frame, keys, np.concatenate([before, located]))
-    return CubeSet(frame.frame_id, cubes, prev.boundary_epoch, edge, origin, keys)
+    cubes, columns = _regroup(prev, frame, keys, np.concatenate([before, located]))
+    return CubeSet(frame.frame_id, cubes, prev.boundary_epoch, edge, origin, keys, columns)

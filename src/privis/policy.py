@@ -51,15 +51,6 @@ class ProtectionPolicy:
     scope: Scope
     shaping_strength: float  # sigma in [0, 1]
 
-    def dominates(self, other: "ProtectionPolicy") -> bool:
-        """Component-wise protection ordering (>= on every dimension)."""
-        return (
-            self.level >= other.level
-            and self.key_rotation_interval <= other.key_rotation_interval
-            and self.scope >= other.scope
-            and self.shaping_strength >= other.shaping_strength - 1e-12
-        )
-
 
 @dataclass(frozen=True)
 class PolicyConfig:

@@ -15,21 +15,17 @@ in (0, 1] without hard cutoffs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
 from .frame_io import PointCloudFrame
-from .partition import Cube, CubeId, CubeSet
+from .partition import CubeId, CubeSet
 
 __all__ = [
     "SaliencyConfig",
     "SaliencyScore",
-    "perceptual_saliency",
-    "privacy_saliency",
-    "joint_saliency",
     "score_cubes",
 ]
 
@@ -67,55 +63,6 @@ class SaliencyScore:
     s: float
 
 
-def _proximity(a: np.ndarray, b: np.ndarray, scale: float) -> float:
-    return 1.0 / (1.0 + float(np.linalg.norm(a - b)) / scale)
-
-
-def perceptual_saliency(
-    cube: Cube,
-    frame: PointCloudFrame,
-    prev_centroid: np.ndarray | None,
-    cfg: SaliencyConfig,
-    max_points: int | None = None,
-) -> float:
-    """phi_p for one cube.
-
-    ``max_points`` is the size of the fullest cube in the frame's cube set
-    (the density normalizer); it defaults to this cube's own size, which is
-    only correct for single-cube frames.
-    """
-    if cube.num_points == 0:
-        raise ValidationError("perceptual saliency of an empty cube")
-    norm = max_points if max_points is not None else cube.num_points
-    density = cube.num_points / norm if norm > 0 else 0.0
-    if prev_centroid is None:
-        motion = 0.0
-    else:
-        disp = float(np.linalg.norm(cube.centroid - np.asarray(prev_centroid)))
-        motion = min(1.0, disp / cfg.motion_scale)
-    view = _proximity(cube.centroid, frame.viewpoint, cfg.proximity_scale)
-    phi = cfg.w_density * density + cfg.w_motion * motion + cfg.w_view * view
-    return min(1.0, max(0.0, phi))
-
-
-def privacy_saliency(cube: Cube, frame: PointCloudFrame, cfg: SaliencyConfig) -> float:
-    """phi_s for one cube: label exposure plus user proximity."""
-    if cube.num_points == 0:
-        raise ValidationError("privacy saliency of an empty cube")
-    exposure = float(frame.sensitivity[cube.point_indices].mean())
-    user = _proximity(cube.centroid, frame.user_anchor, cfg.proximity_scale)
-    phi = cfg.w_identity * exposure + cfg.w_user * user
-    return min(1.0, max(0.0, phi))
-
-
-def joint_saliency(phi_p: float, phi_s: float, alpha: float) -> float:
-    """s = alpha * phi_p + (1 - alpha) * phi_s."""
-    for name, v in (("phi_p", phi_p), ("phi_s", phi_s), ("alpha", alpha)):
-        if not (math.isfinite(v) and 0.0 <= v <= 1.0):
-            raise ValidationError(f"{name}={v} outside [0, 1]")
-    return alpha * phi_p + (1.0 - alpha) * phi_s
-
-
 def _row_norms(d: np.ndarray) -> np.ndarray:
     """np.linalg.norm of each row of an (N, 3) array, to the bit.
 
@@ -143,24 +90,25 @@ def score_cubes(
 ) -> list[SaliencyScore]:
     """Score every cube; result sorted by s descending, CubeId breaking ties.
 
-    One array pass over all cubes, equal to the bit to perceptual_saliency
-    and privacy_saliency applied per cube. Motion is measured against the
+    One array pass over all cubes, equal to the bit to the cues above
+    computed cube by cube with Python floats. Motion is measured against the
     nearest previous centroid within two grid edges, not against the cube
     with the same id: content that moved across a cell boundary would
-    otherwise lose its motion history exactly when it matters. Label
-    exposure reads each cube's ``sensitive_points``, counted when the cube
-    was built.
+    otherwise lose its motion history exactly when it matters. Counts,
+    centroids and label counts are read from the CubeSet's columns, built
+    with its cubes; reuse carries them over for the cubes it keeps.
     """
     if not cubes.cubes:
         return []
-    counts = np.array([c.num_points for c in cubes.cubes])
+    counts, centroids = cubes.columns.counts, cubes.columns.centroids
     if not counts.all():
         raise ValidationError("saliency of an empty cube")
-    centroids = np.array([c.centroid for c in cubes.cubes])
 
     motion = np.zeros(len(counts))
-    if prev_cubes is not None and prev_cubes.cubes:
-        prev_centroids = np.array([c.centroid for c in prev_cubes.cubes])
+    # columns that reuse carried over whole match every centroid to itself,
+    # at distance 0: no motion
+    if prev_cubes is not None and prev_cubes.cubes and prev_cubes.columns is not cubes.columns:
+        prev_centroids = prev_cubes.columns.centroids
         d2 = np.sum((prev_centroids[None, :, :] - centroids[:, None, :]) ** 2, axis=2)
         best = np.argmin(d2, axis=1)
         radius = 2.0 * cubes.grid_edge
@@ -172,8 +120,7 @@ def score_cubes(
     phi_p = _clamp01(cfg.w_density * density + cfg.w_motion * motion + cfg.w_view * view)
 
     # integer label counts keep the exposure equal to the per-cube float mean
-    labels = np.array([c.sensitive_points for c in cubes.cubes], dtype=np.int64)
-    exposure = labels / counts
+    exposure = cubes.columns.sensitive / counts
     user = 1.0 / (1.0 + _row_norms(centroids - frame.user_anchor) / cfg.proximity_scale)
     phi_s = _clamp01(cfg.w_identity * exposure + cfg.w_user * user)
 

@@ -214,12 +214,19 @@ class NonceRegistry:
 
 
 def serialize_cube(frame: PointCloudFrame, cube: Cube) -> CubePlaintext:
-    """Pack a cube's points into wire plaintext sections. ``take`` gathers
-    the same rows as fancy indexing, several times faster on (N, 3); the
-    array method skips the ``np.take`` wrapper, about 0.5 us a call. The
-    attributes interleave r, g, b, label through a flat buffer, one strided
-    column at a time: the same bytes as assigning into an (N, 4) array's
-    column block, which takes a slower copy loop."""
+    """Pack a cube's points into wire plaintext sections, once per Cube:
+    the result is held on the cube and returned by every later call. A
+    Cube outlives its frame only while no changed point left, entered or
+    touched its cell (see reuse_or_repartition), so the held bytes are the
+    ones ``frame`` would give.
+
+    ``take`` gathers the same rows as fancy indexing, several times faster
+    on (N, 3); the array method skips the ``np.take`` wrapper, about 0.5 us
+    a call. The attributes interleave r, g, b, label through a flat buffer,
+    one strided column at a time: the same bytes as assigning into an
+    (N, 4) array's column block, which takes a slower copy loop."""
+    if cube.plaintext is not None:
+        return cube.plaintext
     idx = cube.point_indices
     geometry = frame.positions.take(idx, axis=0).astype("<f4").tobytes()
     colors = frame.colors.take(idx, axis=0)
@@ -228,7 +235,8 @@ def serialize_cube(frame: PointCloudFrame, cube: Cube) -> CubePlaintext:
     attrs[1::4] = colors[:, 1]
     attrs[2::4] = colors[:, 2]
     attrs[3::4] = frame.sensitivity.take(idx)
-    return CubePlaintext(geometry, attrs.tobytes())
+    cube.plaintext = CubePlaintext(geometry, attrs.tobytes())
+    return cube.plaintext
 
 
 def seal_cube(

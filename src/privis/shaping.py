@@ -32,8 +32,6 @@ from .rng import INV_2_53, MASK64, MCG_MULT, Mcg64, mix64
 __all__ = [
     "ShapingConfig",
     "pad_length",
-    "jitter_delay",
-    "schedule_flow",
     "flow_rng",
     "shape_times",
 ]
@@ -77,31 +75,6 @@ def pad_length(length: int, sigma: float, cfg: ShapingConfig, rng: Mcg64) -> int
     return _bucket_up(length + delta, cfg.bucket_bytes)
 
 
-def jitter_delay(t: float, sigma: float, cfg: ShapingConfig, rng: Mcg64) -> float:
-    """Jittered send time; identity at sigma = 0. One draw when shaped."""
-    if t < 0:
-        raise ConfigError("send time must be >= 0")
-    if sigma <= 0.0:
-        return t
-    return t + rng.uniform(0.0, sigma * cfg.jitter_max_ms)
-
-
-def schedule_flow(times: list[float], sigma: float, cfg: ShapingConfig) -> list[float]:
-    """Enforce minimum gaps guard_min_ms * sigma within one flow's schedule.
-
-    Input times must be non-decreasing; flows at sigma = 0 pass through
-    untouched. The sweep only pushes packets later, preserving intra-flow
-    order.
-    """
-    if sigma <= 0.0 or len(times) <= 1:
-        return list(times)
-    tau = cfg.guard_min_ms * sigma
-    out = [times[0]]
-    for t in times[1:]:
-        out.append(max(t, out[-1] + tau))
-    return out
-
-
 def flow_rng(cfg: ShapingConfig, flow_id: CubeId, frame_id: int) -> Mcg64:
     """The shaping substream for one (flow, frame).
 
@@ -123,11 +96,12 @@ def shape_times(
     time, the displacement is capped there and the pacing gap compresses.
     Masking bursts is best-effort inside the latency budget, never beyond.
 
-    Bit-equal to jitter_delay per packet, then schedule_flow, then the cap,
-    with the same draws, in one pass: the MCG step runs on a local copy of
-    the state, written back once at the end (a negative send time raises
+    Bit-equal to jittering each packet with one ``rng.uniform(0, sigma *
+    jitter_max_ms)`` draw, then the guard sweep over the jittered times,
+    then the cap, in one pass: the MCG step runs on a local copy of the
+    state, written back once at the end (a negative send time raises
     before that, leaving the stream where it was). The guard chain runs on
-    the uncapped times, as schedule_flow does.
+    the uncapped times.
     """
     if sigma <= 0.0:
         if any(t < 0 for t in times):

@@ -5,8 +5,10 @@ import statistics
 import tracemalloc
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
+import privis.bench as bench
 from privis.bench import (
     MODES,
     RunConfig,
@@ -21,7 +23,7 @@ from privis.bench import (
 from privis.__main__ import main
 from privis.client import Client
 from privis.errors import ConfigError
-from privis.frame_io import SceneSpec
+from privis.frame_io import SceneSpec, generate_frame
 from privis.keyring import RootKey
 from privis.netw import FRAG_HEADER_LEN, Datagram, NetConfig
 from privis.partition import CubeId
@@ -41,6 +43,8 @@ NON_TIMING = [
     "frame",
     "cubes",
     "boundary_epoch",
+    "changed_points",
+    "rebuilt_cubes",
     "shaped_cubes",
     "sent_units",
     "datagrams_sent",
@@ -359,3 +363,68 @@ def test_bytes_sent_is_the_wire_length_of_the_units_sent(mode, net):
         per_frame[frame] += len(unit) + FRAG_HEADER_LEN * -(-len(unit) // payload_max)
     assert [row["bytes_sent"] for row in r.frame_rows] == list(per_frame.values())
     assert sum(per_frame.values()) > 0
+
+
+def test_work_columns_count_what_changed():
+    """changed_points counts the points moved, recolored or relabeled since
+    the previous frame (all of them at frame 0), rebuilt_cubes the cubes
+    that are not the previous frame's objects; every rebuilt cube is sent.
+    A static scene skips all of it after frame 0."""
+    static = run_session(replace(small_cfg(), scene=leakage_scene(frames=8)))
+    first, *rest = static.frame_rows
+    assert (first["changed_points"], first["rebuilt_cubes"]) == (17_565, first["cubes"])
+    assert all((row["changed_points"], row["rebuilt_cubes"]) == (0, 0) for row in rest)
+    moving = run_session(small_cfg())
+    for i, row in enumerate(moving.frame_rows[1:], start=1):
+        before, now = generate_frame(SMALL, i - 1), generate_frame(SMALL, i)
+        differ = (
+            (now.positions != before.positions).any(axis=1)
+            | (now.colors != before.colors).any(axis=1)
+            | (now.sensitivity != before.sensitivity)
+        )
+        assert row["changed_points"] == np.count_nonzero(differ) > 0
+        assert 0 < row["rebuilt_cubes"] < row["cubes"]
+        assert row["sent_units"] >= row["rebuilt_cubes"]
+
+
+def _fresh_plaintext(frame, cube) -> CubePlaintext:
+    idx = cube.point_indices
+    attrs = np.empty((len(idx), 4), dtype=np.uint8)
+    attrs[:, :3] = frame.colors[idx]
+    attrs[:, 3] = frame.sensitivity[idx]
+    return CubePlaintext(frame.positions[idx].astype("<f4").tobytes(), attrs.tobytes())
+
+
+def test_every_sent_plaintext_is_a_fresh_serialization(monkeypatch):
+    """A plaintext held on a kept Cube is sent as if serialized from the
+    frame it goes out in. Every frame recolors, relabels and nudges a few
+    points within their cells, so a held plaintext that outlived such an
+    edit would differ at the next refresh of its cube (the LOW cubes
+    rotate at frames 6 and 12)."""
+    frames = 13
+
+    def edited_frame(scene, i):
+        frame = generate_frame(scene, i)
+        rng = np.random.default_rng(i)
+        n = frame.num_points
+        colors, labels, positions = frame.colors.copy(), frame.sensitivity.copy(), frame.positions.copy()
+        colors[rng.choice(n, 5, replace=False), 0] ^= i % 7 + 1
+        labels[rng.choice(n, 3, replace=False)] ^= 1
+        positions[rng.choice(n, 3, replace=False)] *= 1.0 + 1e-12
+        return replace(frame, colors=colors, sensitivity=labels, positions=positions)
+
+    sent = []
+    serialize = bench.serialize_cube
+
+    def checked_serialize(frame, cube):
+        plain = serialize(frame, cube)
+        sent.append((frame.frame_id, cube.id))
+        assert plain == _fresh_plaintext(frame, cube), (frame.frame_id, cube.id)
+        return plain
+
+    monkeypatch.setattr(bench, "generate_frame", edited_frame)
+    monkeypatch.setattr(bench, "serialize_cube", checked_serialize)
+    r = run_session(replace(small_cfg(), scene=replace(SMALL, frame_count=frames)))
+    assert len(sent) == sum(row["sent_units"] for row in r.frame_rows)
+    # the rotation frames resend kept cubes, from the plaintext they hold
+    assert all(row["rebuilt_cubes"] < row["sent_units"] for row in r.frame_rows[6::6])

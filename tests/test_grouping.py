@@ -1,10 +1,10 @@
 """The one-pass grouping stage against the plain per-point, per-cube path.
 
-Grid reuse with a change mask must give the same CubeSet as locating every
-point again, while keeping the previous Cube object for every cell that no
-changed point left or entered; and the array form of score_cubes must give
-the same scores, to the bit, as perceptual_saliency and privacy_saliency
-applied cube by cube. Both run over moving, churning and static scenes,
+Grid reuse with the changed-point indices must give the same CubeSet as
+locating every point again, while keeping the previous Cube object for
+every cell that no changed point left, entered or touched; and the array
+form of score_cubes must give the same scores, to the bit, as
+perceptual_saliency and privacy_saliency applied cube by cube. Both run over moving, churning and static scenes,
 through reused and re-partitioned grids and a point-count change.
 """
 
@@ -13,25 +13,21 @@ from dataclasses import astuple, replace
 import numpy as np
 import pytest
 
-from privis.bench import _changed_mask, default_scene, leakage_scene
+from privis.bench import _changed_points, default_scene, leakage_scene
 from privis.frame_io import PointCloudFrame, generate_frame
 from privis.partition import (
     CubeId,
     PartitionConfig,
     _cells_for,
     _count_nonempty,
+    _distinct,
     _unpack_keys,
     partition_frame,
     reuse_or_repartition,
 )
-from privis.saliency import (
-    SaliencyConfig,
-    SaliencyScore,
-    joint_saliency,
-    perceptual_saliency,
-    privacy_saliency,
-    score_cubes,
-)
+from privis.saliency import SaliencyConfig, SaliencyScore, score_cubes
+from privis.seal import serialize_cube
+from saliency_reference import joint_saliency, perceptual_saliency, privacy_saliency
 
 FRAMES = 12  # one orbit period
 
@@ -59,15 +55,22 @@ def frames(request):
     return request.param, SCENES[request.param]()
 
 
+def _cube_ids_of(cubes, points):
+    """Ids of the cubes holding the given point indices."""
+    rows = _unpack_keys(_distinct(np.take(cubes.point_keys, points)))
+    return {CubeId(*row) for row in rows.tolist()}
+
+
 def _grouped(frames, cfg=PartitionConfig()):
-    """(cubes, previous cubes, frame) per frame, the grid reused with the mask."""
+    """(cubes, previous cubes, frame) per frame, the grid reused with the
+    changed points."""
     out = []
     prev = prev_frame = None
     for frame in frames:
         if prev is None:
             cubes = partition_frame(frame, cfg.target_cubes)
         else:
-            cubes = reuse_or_repartition(prev, frame, cfg, _changed_mask(frame, prev_frame))
+            cubes = reuse_or_repartition(prev, frame, cfg, _changed_points(frame, prev_frame))
         out.append((cubes, prev, frame))
         prev, prev_frame = cubes, frame
     return out
@@ -82,6 +85,19 @@ def _assert_same_cube_set(a, b):
         assert x.centroid.tobytes() == y.centroid.tobytes(), x.id
         assert x.sensitive_points == y.sensitive_points, x.id
     assert a.point_keys.tobytes() == b.point_keys.tobytes()
+    for cs in (a, b):
+        _assert_columns_match_cubes(cs)
+    for x, y in zip(a.columns, b.columns):
+        assert (x.dtype, x.tobytes()) == (y.dtype, y.tobytes())
+
+
+def _assert_columns_match_cubes(cs):
+    """Row j of the columns describes cube j."""
+    keys, counts, centroids, sensitive = cs.columns
+    assert [CubeId(*row) for row in _unpack_keys(keys).tolist()] == [c.id for c in cs.cubes]
+    assert counts.tolist() == [c.num_points for c in cs.cubes]
+    assert sensitive.tolist() == [c.sensitive_points for c in cs.cubes]
+    assert centroids.tobytes() == b"".join(c.centroid.tobytes() for c in cs.cubes)
 
 
 @pytest.mark.parametrize("threshold", [0.2, 1.0])
@@ -101,9 +117,8 @@ def test_masked_reuse_matches_full_relocation(frames, threshold):
 
 
 def _touched(cubes, prev, changed):
-    """Cells a changed point left or entered."""
-    points = np.flatnonzero(changed)
-    return prev.cube_ids_of(points) | cubes.cube_ids_of(points)
+    """Cells a changed point left, entered or touched."""
+    return _cube_ids_of(prev, changed) | _cube_ids_of(cubes, changed)
 
 
 def test_reuse_rebuilds_exactly_the_touched_cells(frames):
@@ -119,7 +134,7 @@ def test_reuse_rebuilds_exactly_the_touched_cells(frames):
             and cubes.boundary_epoch == prev.boundary_epoch
             and frame.num_points == prev_frame.num_points
         ):
-            touched = _touched(cubes, prev, _changed_mask(frame, prev_frame))
+            touched = _touched(cubes, prev, _changed_points(frame, prev_frame))
             assert cubes.rebuilt_since(prev) == touched & ids
             reused += 1
         else:
@@ -136,8 +151,8 @@ def test_orbit_spill_rebuilds_cells_points_enter_and_leave():
     grouped = _grouped(frames)
     for i in (6, 7):
         cubes, prev, frame = grouped[i]
-        changed = _changed_mask(frame, frames[i - 1])
-        moved = set(np.flatnonzero(changed).tolist())
+        changed = _changed_points(frame, frames[i - 1])
+        moved = set(changed.tolist())
         both = {c.id for c in prev.cubes} & {c.id for c in cubes.cubes}
         shared = {
             cid for cid in both & _touched(cubes, prev, changed)
@@ -155,10 +170,10 @@ def test_recolor_only_change_rebuilds_its_cube():
     colors = frames[0].colors.copy()
     colors[123] ^= 1
     frame = replace(frames[0], frame_id=1, colors=colors)
-    changed = _changed_mask(frame, frames[0])
-    assert np.flatnonzero(changed).tolist() == [123]
+    changed = _changed_points(frame, frames[0])
+    assert changed.tolist() == [123]
     cubes = reuse_or_repartition(prev, frame, PartitionConfig(), changed)
-    assert cubes.rebuilt_since(prev) == prev.cube_ids_of(np.array([123]))
+    assert cubes.rebuilt_since(prev) == _cube_ids_of(prev, np.array([123]))
     _assert_same_cube_set(cubes, reuse_or_repartition(prev, frame))
 
 
@@ -190,7 +205,7 @@ def test_far_apart_frame_packs_and_a_jump_beyond_the_grid_repartitions():
     assert _unpack_keys(prev.point_keys).tobytes() == cells.tobytes()
     moved = _far_apart_frame(1)
     moved.positions[5, 0] += 0.5  # stays in its cell
-    cubes = reuse_or_repartition(prev, moved, PartitionConfig(), _changed_mask(moved, first))
+    cubes = reuse_or_repartition(prev, moved, PartitionConfig(), _changed_points(moved, first))
     assert (cubes.boundary_epoch, cubes.grid_edge) == (prev.boundary_epoch, prev.grid_edge)
     _assert_same_cube_set(cubes, reuse_or_repartition(prev, moved))
     for jump, epoch in ((1e12, prev.boundary_epoch), (1e16, prev.boundary_epoch + 1)):
@@ -198,7 +213,7 @@ def test_far_apart_frame_packs_and_a_jump_beyond_the_grid_repartitions():
         jumped.positions[7, 0] += jump  # 1e12: 2,000 cells on; 1e16: 2e7, beyond 2**20
         for threshold in (0.2, 1.0):  # one point in 65 is below either
             cfg = PartitionConfig(change_threshold=threshold)
-            again = reuse_or_repartition(cubes, jumped, cfg, _changed_mask(jumped, moved))
+            again = reuse_or_repartition(cubes, jumped, cfg, _changed_points(jumped, moved))
             assert again.boundary_epoch == epoch
             if epoch == prev.boundary_epoch:
                 _assert_same_cube_set(again, reuse_or_repartition(cubes, jumped, cfg))
@@ -213,7 +228,7 @@ def test_cube_ids_of_matches_unique_reference(frames):
         for size in (0, 1, 50, frame.num_points // 3):
             points = rng.choice(frame.num_points, size=size, replace=False)
             rows = np.unique(_unpack_keys(cubes.point_keys[points]), axis=0).tolist()
-            assert cubes.cube_ids_of(points) == {CubeId(*row) for row in rows}
+            assert _cube_ids_of(cubes, points) == {CubeId(*row) for row in rows}
 
 
 def test_cold_count_matches_unique_reference():
@@ -268,3 +283,91 @@ def test_vectorized_scores_match_per_cube_reference(frames, cfg):
         want = _reference_scores(cubes, frame, prev, cfg)
         # repr pins the bits and the types (Python floats, CubeId of ints)
         assert [repr(astuple(r)) for r in got] == [repr(astuple(r)) for r in want]
+
+
+def _reference_changed(frame, prev):
+    """Per-column change mask as indices; None for no previous frame or a
+    point-count change."""
+    if prev is None or prev.num_points != frame.num_points:
+        return None
+    changed = frame.sensitivity != prev.sensitivity
+    for col in range(3):
+        changed |= frame.positions[:, col] != prev.positions[:, col]
+        changed |= frame.colors[:, col] != prev.colors[:, col]
+    return np.flatnonzero(changed)
+
+
+def _edited(frame, cubes, kind, rng):
+    """A copy of ``frame`` as the next frame, with a seeded set of edits of
+    one kind; ``cubes`` supplies the grid."""
+    positions, colors = frame.positions.copy(), frame.colors.copy()
+    labels = frame.sensitivity.copy()
+    n = frame.num_points
+    points = rng.choice(n, size=int(rng.integers(1, 40)), replace=False)
+    edge, origin = cubes.grid_edge, cubes.grid_origin
+    if kind == "within-cell":  # to the centre of the point's own cell
+        cells = _cells_for(positions[points], origin, edge)
+        positions[points] = origin + (cells + 0.5) * edge
+    elif kind == "across-cells":
+        positions[points, rng.integers(0, 3)] += edge * rng.choice([-1.0, 1.0, 2.0], size=len(points))
+    elif kind == "recolor":
+        colors[points, rng.integers(0, 3)] ^= 0x55
+    elif kind == "relabel":
+        labels[points] ^= 1
+    elif kind == "signed-zero":  # -0.0 against 0.0 is no change
+        positions[points, 0] = -0.0
+    elif kind == "resize":
+        keep = np.sort(rng.choice(n, size=n - len(points), replace=False))
+        positions, colors, labels = positions[keep], colors[keep], labels[keep]
+    return replace(frame, frame_id=frame.frame_id + 1, positions=positions, colors=colors, sensitivity=labels)
+
+
+KINDS = ["within-cell", "across-cells", "recolor", "relabel", "none", "signed-zero", "resize"]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_seeded_edits_match_the_per_column_reference(kind):
+    """The changed indices equal the per-column reference, and reuse with
+    them equals reuse with every point marked, under both thresholds."""
+    base = SCENES["static"]()[0]
+    if kind == "signed-zero":
+        base = replace(base, positions=base.positions.copy())
+        base.positions[:, 0] = 0.0
+    prev = partition_frame(base)
+    for seed in range(6):
+        frame = _edited(base, prev, kind, np.random.default_rng(seed))
+        changed = _changed_points(frame, base)
+        want = _reference_changed(frame, base)
+        if want is None:
+            assert changed is None
+        else:
+            assert changed.dtype.kind == "i"
+            assert changed.tolist() == want.tolist()
+            assert (len(changed) == 0) == (kind in ("none", "signed-zero"))
+        for threshold in (0.2, 1.0):
+            cfg = PartitionConfig(change_threshold=threshold)
+            got = reuse_or_repartition(prev, frame, cfg, changed)
+            _assert_same_cube_set(got, reuse_or_repartition(prev, frame, cfg))
+            if changed is not None and got.boundary_epoch == prev.boundary_epoch:
+                ids = {c.id for c in got.cubes}
+                assert got.rebuilt_since(prev) == _touched(got, prev, changed) & ids
+
+
+def test_static_pair_reuses_everything_and_serializes_once():
+    """With no changed point, reuse shares the previous cubes, columns and
+    point keys, rebuilds nothing, and serialize_cube returns the plaintext
+    each Cube already holds without gathering again."""
+    first, second = SCENES["static"]()[:2]
+    changed = _changed_points(second, first)
+    assert changed is not None and len(changed) == 0
+    prev = partition_frame(first)
+    held = [serialize_cube(first, cube) for cube in prev.cubes]
+    cubes = reuse_or_repartition(prev, second, PartitionConfig(), changed)
+    assert cubes.frame_id == second.frame_id
+    assert cubes.cubes is prev.cubes
+    assert cubes.point_keys is prev.point_keys
+    assert cubes.columns is prev.columns
+    assert cubes.rebuilt_since(prev) == set()
+    # a frame of other content shows the bytes come from the Cube, not the frame
+    blank = replace(second, colors=np.zeros_like(second.colors))
+    assert all(serialize_cube(blank, c) is plain for c, plain in zip(cubes.cubes, held))

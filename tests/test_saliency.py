@@ -4,13 +4,8 @@ import pytest
 from conftest import make_frame
 from privis.errors import ValidationError
 from privis.partition import partition_frame
-from privis.saliency import (
-    SaliencyConfig,
-    joint_saliency,
-    perceptual_saliency,
-    privacy_saliency,
-    score_cubes,
-)
+from privis.saliency import SaliencyConfig, score_cubes
+from saliency_reference import joint_saliency, perceptual_saliency, privacy_saliency
 
 
 CFG = SaliencyConfig()

@@ -4,16 +4,35 @@ from privis.errors import ConfigError
 from privis.partition import CubeId
 from privis.policy import PolicyConfig, assign_policy
 from privis.rng import Mcg64
-from privis.shaping import (
-    ShapingConfig,
-    flow_rng,
-    jitter_delay,
-    pad_length,
-    schedule_flow,
-    shape_times,
-)
+from privis.shaping import ShapingConfig, flow_rng, pad_length, shape_times
 
 CFG = ShapingConfig()
+
+
+# Per-packet references for shape_times, which fuses them in one pass.
+def jitter_delay(t: float, sigma: float, cfg: ShapingConfig, rng: Mcg64) -> float:
+    """Jittered send time; identity at sigma = 0. One draw when shaped."""
+    if t < 0:
+        raise ConfigError("send time must be >= 0")
+    if sigma <= 0.0:
+        return t
+    return t + rng.uniform(0.0, sigma * cfg.jitter_max_ms)
+
+
+def schedule_flow(times: list[float], sigma: float, cfg: ShapingConfig) -> list[float]:
+    """Enforce minimum gaps guard_min_ms * sigma within one flow's schedule.
+
+    Input times must be non-decreasing; flows at sigma = 0 pass through
+    untouched. The sweep only pushes packets later, preserving intra-flow
+    order.
+    """
+    if sigma <= 0.0 or len(times) <= 1:
+        return list(times)
+    tau = cfg.guard_min_ms * sigma
+    out = [times[0]]
+    for t in times[1:]:
+        out.append(max(t, out[-1] + tau))
+    return out
 
 
 def test_config_validation():
