@@ -41,6 +41,7 @@ print(f"geometry-only unit: {sealed_geom.wire_len} bytes "
 
 # fragment, deliver, verify
 client = Client(root)
+client.guard.begin_frame(0)  # the client's frame clock opens frame 0's receive window
 for frag in packetize(sealed_full.to_bytes(), cube, 0, mtu=300):
     unit = client.on_datagram(frag, arrival_ms=1.0)
 outcome = client.admit(unit)

@@ -278,18 +278,17 @@ def _changed_points(frame: PointCloudFrame, prev: PointCloudFrame | None) -> np.
 @dataclass(frozen=True)
 class _CubePlanner:
     """One unit per cube, in score order, with the policy its score earns
-    under the current theta; given a budget, enforce_budget then downgrades
-    the least salient cubes until the estimated cost fits."""
+    under the session's current policy config; given a budget,
+    enforce_budget then downgrades the least salient cubes until the
+    estimated cost fits."""
 
-    policy: PolicyConfig
     budget: PolicyBudget | None
 
-    def plan(self, theta: float, scores, by_id) -> list[tuple[CubeId, float, ProtectionPolicy]]:
-        pol_cfg = replace(self.policy, theta=theta)
+    def plan(self, policy: PolicyConfig, scores, by_id) -> list[tuple[CubeId, float, ProtectionPolicy]]:
         if self.budget is None:
-            return [(r.cube_id, r.s, assign_policy(r.s, pol_cfg)) for r in scores]
-        triplets = [(by_id[r.cube_id], r.s, assign_policy(r.s, pol_cfg)) for r in scores]
-        adjusted, _cost, _exhausted = enforce_budget(triplets, self.budget, cfg=pol_cfg)
+            return [(r.cube_id, r.s, assign_policy(r.s, policy)) for r in scores]
+        triplets = [(by_id[r.cube_id], r.s, assign_policy(r.s, policy)) for r in scores]
+        adjusted, _cost, _exhausted = enforce_budget(triplets, self.budget, cfg=policy)
         return [(cube.id, s, pol) for cube, s, pol in adjusted]
 
     def payload(self, frame: PointCloudFrame, by_id, cid: CubeId) -> CubePlaintext:
@@ -302,7 +301,7 @@ class _FramePlanner:
 
     POLICY = ProtectionPolicy(ProtectionLevel.HIGH, 1, Scope.FULL_PAYLOAD, 0.0)
 
-    def plan(self, theta: float, scores, by_id) -> list[tuple[CubeId, float, ProtectionPolicy]]:
+    def plan(self, policy: PolicyConfig, scores, by_id) -> list[tuple[CubeId, float, ProtectionPolicy]]:
         return [(UNIFORM_CUBE, 1.0, self.POLICY)]
 
     def payload(self, frame: PointCloudFrame, by_id, cid: CubeId) -> CubePlaintext:
@@ -399,14 +398,16 @@ class Session:
         if cfg.mode == "uniform":
             self.planner = _FramePlanner()
         else:
-            self.planner = _CubePlanner(cfg.policy, cfg.budget if adaptive else None)
+            self.planner = _CubePlanner(cfg.budget if adaptive else None)
         if cfg.mode == "noenc":
             self.codec = _PlainCodec()
         else:
             self.codec = _SealedCodec(self.ring, self.registry)
         self._shape = adaptive and cfg.shaping_enabled
         self._adapt = adaptive
-        self.theta = cfg.policy.theta
+        # cfg.policy under the current theta: replaced only when leakage
+        # adaptation moves theta, so its level table is built once per theta
+        self.policy = cfg.policy
         self.prev_cubes: CubeSet | None = None
         self.prev_frame: PointCloudFrame | None = None
         self._window: list[tuple[int, tuple[float, float, float]]] = []  # open leakage window's samples
@@ -427,7 +428,6 @@ class Session:
     def step(self, i: int) -> None:
         cfg, client, result = self.cfg, self.client, self.result
         planner, codec = self.planner, self.codec
-        theta = self.theta
         prev_cubes = self.prev_cubes
 
         frame = generate_frame(cfg.scene, i)
@@ -453,7 +453,7 @@ class Session:
         # iteration order of the `refresh` set, not in plan order; the
         # goldens' `trace` hash pins it.
         clock.switch("key_management")
-        plan = {cid: (s, pol) for cid, s, pol in planner.plan(theta, scores, by_id)}
+        plan = {cid: (s, pol) for cid, s, pol in planner.plan(self.policy, scores, by_id)}
         keys = {}
         refresh: set[CubeId] = set()
         for cid, (_s, pol) in plan.items():
@@ -509,10 +509,12 @@ class Session:
         delivered, traces = transmit(sendlist, cfg.net)
         net_cost_s = time.perf_counter() - t_net0
 
-        # receiver: replay filter and reassembly per datagram; a unit is
-        # verified (admitted, for plain units) as soon as it completes; then
-        # frame composition
+        # receiver: the client's frame clock moves the receive window; then
+        # replay filter and reassembly per datagram; a unit is verified
+        # (admitted, for plain units) as soon as it completes; then frame
+        # composition
         clock.switch("transport_assembly")
+        client.guard.begin_frame(i)
         outcomes = {}
         receive = codec.receiver(client)
         for dgram, arrival in delivered:
@@ -535,7 +537,9 @@ class Session:
                 result.mi_samples.extend(samples)
             if (i + 1) % cfg.leakage.window_frames == 0:
                 if cfg.adaptation_enabled:
-                    theta = _run_adaptation(cfg, result, self._window, theta, i)
+                    theta = _run_adaptation(cfg, result, self._window, self.policy.theta, i)
+                    if theta != self.policy.theta:
+                        self.policy = replace(self.policy, theta=theta)
                 self._window = []
 
         if cfg.content_digests:
@@ -559,7 +563,7 @@ class Session:
             "held": summary.held,
             "dropped": summary.dropped,
             "point_total": summary.point_total,
-            "theta": theta,
+            "theta": self.policy.theta,
         }
         for stage in _STAGES:
             row[f"{stage}_ms"] = clock.acc[stage] * 1e3
@@ -567,7 +571,6 @@ class Session:
         result.frame_rows.append(row)
 
         self.prev_cubes, self.prev_frame = cubes, frame
-        self.theta = theta
 
 
 def run_session(cfg: RunConfig) -> SessionResult:

@@ -8,16 +8,16 @@ prior version per cube, so staleness is bounded and observable through the
 carried frame id.
 
 Replay protection has two layers. For the session, one receive window
-filters the unauthenticated fragment headers: all flows share one frame
-counter, so a datagram of a newer frame advances the mark, and each frame
-in [mark - REPLAY_WINDOW_FRAMES, mark] keeps every flow's fragments by
-index in one table, ReplayGuard.frames. A genuinely new fragment inside
-the window is filed there even when it arrives out of order; a duplicate
-index, anything below the window, and any fragment of a flow whose unit
-already completed or was found malformed in that frame are rejected (the
-sender sends at most one unit per cube and frame). A frame's entries go
-when it falls below the window, so the table never grows with the number
-of flow ids the unauthenticated headers name. Per cube, after the
+filters the unauthenticated fragment headers. The client's own frame
+clock moves it: ReplayGuard.begin_frame(i), called as frame i is composed,
+opens frames [i - REPLAY_WINDOW_FRAMES, i] and deletes everything older,
+so no datagram can move the window and a frame outside it never gets a
+table entry. Each open frame keeps every flow's fragments by index in one
+table, ReplayGuard.frames. A genuinely new fragment of an open frame is
+filed there even when it arrives out of order; a duplicate index, any
+frame that is not open, and any fragment of a flow whose unit already
+completed or was found malformed in that frame are rejected (the sender
+sends at most one unit per cube and frame). Per cube, after the
 integrity check (as RFC 4303 section 3.4.3 orders it), a unit renders
 only when its authenticated frame is newer than the cube's last verified
 one, and a sealed unit only in fragments whose header names its own frame
@@ -52,7 +52,7 @@ __all__ = [
     "frame_compose",
 ]
 
-REPLAY_WINDOW_FRAMES = 2  # frames below the high-water frame still acceptable
+REPLAY_WINDOW_FRAMES = 2  # frames below the one being composed still acceptable
 
 
 @dataclass(frozen=True)
@@ -85,37 +85,33 @@ _DONE = ()  # a flow's table entry once its unit completed or failed in that fra
 
 @dataclass
 class ReplayGuard:
-    """Session-wide receive window: the newest frame seen, and for each
-    frame in [newest - REPLAY_WINDOW_FRAMES, newest] each flow's fragments
-    by index, or _DONE once the flow's unit there completed or failed."""
+    """Session-wide receive window: for each open frame, each flow's
+    fragments by index, or _DONE once the flow's unit there completed or
+    failed. Only begin_frame opens and closes frames."""
 
-    newest: int | None = None
     frames: dict[int, dict[CubeId, dict[int, Datagram] | tuple[()]]] = field(default_factory=dict)
+
+    def begin_frame(self, frame_id: int) -> None:
+        """Open frames [frame_id - REPLAY_WINDOW_FRAMES, frame_id], keeping
+        what they hold, and delete the older ones with their buffers. Frame
+        ids must not decrease; a repeated id changes nothing."""
+        held = self.frames
+        self.frames = {f: held.get(f, {}) for f in range(frame_id - REPLAY_WINDOW_FRAMES, frame_id + 1)}
 
 
 def replay_filter(guard: ReplayGuard, dgram: Datagram) -> dict[int, Datagram] | None:
     """File one datagram in the window; returns its flow's fragments in
     that frame, or None to reject it as replayed or stale.
 
-    A datagram of a newer frame than any seen always advances the mark and
-    drops the frames that fall below the window. At or below the mark, a
-    genuinely new fragment within the last REPLAY_WINDOW_FRAMES frames is
-    accepted (reordering is not replay); a duplicate index, a fragment of a
-    flow that is done in its frame, and anything older are rejected.
+    A datagram of a frame that is not open is rejected and nothing is
+    written. In an open frame, a genuinely new fragment is accepted
+    (reordering is not replay); a duplicate index and a fragment of a flow
+    that is done in its frame are rejected.
     """
-    flow, frame, index = dgram[0], dgram[1], dgram[2]
-    frames = guard.frames
-    newest = guard.newest
-    if newest is None or frame > newest:
-        guard.newest = frame
-        floor = frame - REPLAY_WINDOW_FRAMES
-        for old in [f for f in frames if f < floor]:
-            del frames[old]
-    elif frame < newest - REPLAY_WINDOW_FRAMES:
-        return None  # below the window: indistinguishable from replay
-    flows = frames.get(frame)
+    flows = guard.frames.get(dgram[1])
     if flows is None:
-        flows = frames[frame] = {}
+        return None  # outside the window: indistinguishable from replay
+    flow, index = dgram[0], dgram[2]
     frags = flows.get(flow)
     if frags is None:
         frags = flows[flow] = {}

@@ -51,8 +51,6 @@ class Cube:
 
     id: CubeId
     point_indices: np.ndarray  # indices into the frame's point arrays
-    centroid: np.ndarray  # (3,)
-    sensitive_points: int  # members carrying the sensitive label
     # the serialized content, held by seal.serialize_cube after its first call
     plaintext: CubePlaintext | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -172,8 +170,8 @@ def _build_cubes(
     frame: PointCloudFrame, keys: np.ndarray, points: np.ndarray | None = None
 ) -> tuple[list[Cube], CubeColumns]:
     """Group a frame's points by packed cell key; returns the cubes in id
-    order, each with its centroid and sensitive-point count, and their
-    columns.
+    order and their columns, which carry each cube's centroid and
+    sensitive-point count.
 
     ``keys`` holds one key per point of the frame. Keys order cells
     lexicographically, so the groups come out sorted by CubeId. ``points``,
@@ -198,10 +196,7 @@ def _build_cubes(
     cell_keys = np.take(sorted_keys, starts)
     ids = _unpack_keys(cell_keys).tolist()
     bounds = np.append(starts, n).tolist()
-    cubes = [
-        Cube(CubeId(*cid), members[a:b], centroid, label_sum)
-        for cid, a, b, centroid, label_sum in zip(ids, bounds, bounds[1:], centroids, labels.tolist())
-    ]
+    cubes = [Cube(CubeId(*cid), members[a:b]) for cid, a, b in zip(ids, bounds, bounds[1:])]
     return cubes, CubeColumns(cell_keys, counts, centroids, labels)
 
 
@@ -267,20 +262,19 @@ def partition_frame(
 
 
 def membership_change_fraction(prev: CubeSet, frame: PointCloudFrame) -> float:
-    """Fraction of points whose grid cell under ``prev``'s boundaries
-    differs from their assignment in ``prev``. Index-aligned; a point-count
-    change counts as total change."""
+    """Fraction of points whose packed cell key under ``prev``'s boundaries
+    differs from their key in ``prev``, the measure reuse_or_repartition
+    compares with its threshold. Index-aligned; a point-count change, or a
+    point whose cell does not pack, counts as total change."""
     n = frame.num_points
     if n != len(prev.point_keys):
         return 1.0
     if n == 0:
         return 0.0
-    now = _cells_for(frame.positions, prev.grid_origin, prev.grid_edge)
-    before = _unpack_keys(prev.point_keys)
-    # ORing per-column compares gives the same bits as
-    # np.any(now != before, axis=1) at a fraction of its cost
-    differ = (now[:, 0] != before[:, 0]) | (now[:, 1] != before[:, 1]) | (now[:, 2] != before[:, 2])
-    return np.count_nonzero(differ) / n
+    now = _pack_cells(_cells_for(frame.positions, prev.grid_origin, prev.grid_edge))
+    if now is None:
+        return 1.0
+    return np.count_nonzero(now != prev.point_keys) / n
 
 
 def _regroup(
@@ -332,7 +326,7 @@ def reuse_or_repartition(
     it is the same CubeSet, to the bit, as with every point marked.
 
     A cube that is still ``prev``'s object (CubeSet.rebuilt_since) thus
-    holds the content it held before: its ``sensitive_points`` and the
+    holds the content it held before: its row of the columns and the
     plaintext serialize_cube holds on it stay right. Indices that leave out
     a recolored or relabeled point keep that cube's stale count and bytes.
     """

@@ -19,11 +19,12 @@ def _proximity(a: np.ndarray, b: np.ndarray, scale: float) -> float:
 def perceptual_saliency(
     cube: Cube,
     frame: PointCloudFrame,
+    centroid: np.ndarray,
     prev_centroid: np.ndarray | None,
     cfg: SaliencyConfig,
     max_points: int | None = None,
 ) -> float:
-    """phi_p for one cube.
+    """phi_p for one cube whose members' mean is ``centroid``.
 
     ``max_points`` is the size of the fullest cube in the frame's cube set
     (the density normalizer); it defaults to this cube's own size, which is
@@ -36,19 +37,20 @@ def perceptual_saliency(
     if prev_centroid is None:
         motion = 0.0
     else:
-        disp = float(np.linalg.norm(cube.centroid - np.asarray(prev_centroid)))
+        disp = float(np.linalg.norm(centroid - np.asarray(prev_centroid)))
         motion = min(1.0, disp / cfg.motion_scale)
-    view = _proximity(cube.centroid, frame.viewpoint, cfg.proximity_scale)
+    view = _proximity(centroid, frame.viewpoint, cfg.proximity_scale)
     phi = cfg.w_density * density + cfg.w_motion * motion + cfg.w_view * view
     return min(1.0, max(0.0, phi))
 
 
-def privacy_saliency(cube: Cube, frame: PointCloudFrame, cfg: SaliencyConfig) -> float:
-    """phi_s for one cube: label exposure plus user proximity."""
+def privacy_saliency(cube: Cube, frame: PointCloudFrame, centroid: np.ndarray, cfg: SaliencyConfig) -> float:
+    """phi_s for one cube whose members' mean is ``centroid``: label
+    exposure plus user proximity."""
     if cube.num_points == 0:
         raise ValidationError("privacy saliency of an empty cube")
     exposure = float(frame.sensitivity[cube.point_indices].mean())
-    user = _proximity(cube.centroid, frame.user_anchor, cfg.proximity_scale)
+    user = _proximity(centroid, frame.user_anchor, cfg.proximity_scale)
     phi = cfg.w_identity * exposure + cfg.w_user * user
     return min(1.0, max(0.0, phi))
 

@@ -129,9 +129,11 @@ def test_plain_units_that_do_not_parse_are_logged_and_dropped():
     flow = CubeId(1, 2, 3)
     bad = [(2).to_bytes(4, "little") + bytes(12), b"\x01", (1).to_bytes(4, "little") + bytes(40)]
     for frame, unit in enumerate(bad):
+        client.guard.begin_frame(frame)
         assert codec.receive(client, Datagram(flow, frame, 0, 1, unit), 1.5 + frame) is None
     assert client.state.failure_log == [(f, flow, "malformed", 1.5 + f) for f in range(len(bad))]
     good = (1).to_bytes(4, "little") + bytes(range(16))
+    client.guard.begin_frame(3)
     got = codec.receive(client, Datagram(flow, 3, 0, 1, good), 5.0)
     assert got == (flow, 3, CubePlaintext(bytes(range(12)), bytes(range(12, 16))))
 
@@ -281,6 +283,33 @@ def test_theta_trace_non_increasing_within_session():
     r = run_session(cfg)
     trace = [row["theta"] for row in r.frame_rows]
     assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
+
+
+def test_policy_config_built_once_per_theta(monkeypatch):
+    """Every assign_policy call of a frame gets the session's one policy
+    config for the current theta: the same object across the frames of a
+    leakage window, and a new one only after adaptation moved theta."""
+    seen = []
+
+    def spy(s, cfg):
+        seen.append(cfg)
+        return assign_policy(s, cfg)
+
+    assign_policy = bench.assign_policy
+    monkeypatch.setattr(bench, "assign_policy", spy)
+    cfg = small_cfg("privis", leakage=replace(small_cfg().leakage, window_frames=3))
+    session = Session(cfg)
+    used = []
+    for i in range(SMALL.frame_count):
+        seen.clear()
+        session.step(i)
+        assert seen and all(c is seen[0] for c in seen), i
+        used.append(seen[0])
+    thetas = [cfg.policy.theta] + [row["theta"] for row in session.result.frame_rows]
+    assert [c.theta for c in used] == thetas[:-1]
+    for i in range(1, len(used)):
+        assert (used[i] is used[i - 1]) == (thetas[i] == thetas[i - 1]), i
+    assert used[0] is cfg.policy
 
 
 @pytest.mark.parametrize("mode", MODES)

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -47,11 +49,13 @@ def fragment(flow, frame, index):
 
 def test_fresh_datagram_accepted():
     guard = ReplayGuard()
+    guard.begin_frame(0)
     assert replay_filter(guard, fragment(CubeId(0, 0, 0), 0, 0))
 
 
 def test_exact_duplicate_rejected():
     guard = ReplayGuard()
+    guard.begin_frame(3)
     flow = CubeId(0, 0, 0)
     assert replay_filter(guard, fragment(flow, 3, 2))
     assert not replay_filter(guard, fragment(flow, 3, 2))
@@ -59,6 +63,7 @@ def test_exact_duplicate_rejected():
 
 def test_reordered_but_new_accepted():
     guard = ReplayGuard()
+    guard.begin_frame(0)
     flow = CubeId(0, 0, 0)
     assert replay_filter(guard, fragment(flow, 0, 1))  # arrives first
     assert replay_filter(guard, fragment(flow, 0, 0))  # older but never seen
@@ -66,6 +71,7 @@ def test_reordered_but_new_accepted():
 
 def test_stale_below_window_rejected():
     guard = ReplayGuard()
+    guard.begin_frame(50)
     flow = CubeId(0, 0, 0)
     assert replay_filter(guard, fragment(flow, 50, 0))
     assert not replay_filter(guard, fragment(flow, 1, 0))
@@ -77,6 +83,7 @@ def test_thousand_reordered_traces_no_false_rejects():
     rng = Mcg64(71)
     for trial in range(1000):
         guard = ReplayGuard()
+        guard.begin_frame(2)
         flow = CubeId(trial, 0, 0)
         tokens = [(f, i) for f in range(3) for i in range(6)]
         # adjacent swaps, like the emulated channel applies
@@ -95,20 +102,54 @@ def test_thousand_reordered_traces_no_false_rejects():
 
 def test_flows_tracked_independently():
     guard = ReplayGuard()
+    guard.begin_frame(0)
     assert replay_filter(guard, fragment(CubeId(0, 0, 0), 0, 0))
     assert replay_filter(guard, fragment(CubeId(1, 0, 0), 0, 0))
 
 
 def test_window_is_shared_by_all_flows():
-    """All flows count frames on one clock: a fragment more than
-    REPLAY_WINDOW_FRAMES behind another flow's newest frame is stale, even
+    """All flows count frames on one clock, the client's: a fragment more
+    than REPLAY_WINDOW_FRAMES behind the frame being composed is stale, even
     from a flow never seen before; inside the window it is accepted."""
     guard = ReplayGuard()
     newest = 10
+    guard.begin_frame(newest)
     assert replay_filter(guard, fragment(CubeId(0, 0, 0), newest, 0))
     assert not replay_filter(guard, fragment(CubeId(1, 0, 0), newest - REPLAY_WINDOW_FRAMES - 1, 0))
     assert replay_filter(guard, fragment(CubeId(2, 0, 0), newest - REPLAY_WINDOW_FRAMES, 0))
     assert not replay_filter(guard, fragment(CubeId(2, 0, 0), newest - REPLAY_WINDOW_FRAMES, 0))
+
+
+@pytest.mark.parametrize("offset", [2**40, 1, -REPLAY_WINDOW_FRAMES - 1], ids=["far-ahead", "next", "below"])
+def test_frame_outside_window_rejected_and_not_recorded(offset):
+    """Only the client's frame clock moves the window: a fragment header
+    naming a frame that is not open, however far ahead, is rejected and
+    writes nothing, and the frame being composed still accepts."""
+    guard = ReplayGuard()
+    guard.begin_frame(10)
+    assert replay_filter(guard, fragment(CubeId(0, 0, 0), 10, 0))
+    before = copy.deepcopy(guard.frames)
+    assert replay_filter(guard, fragment(CubeId(1, 0, 0), 10 + offset, 0)) is None
+    assert guard.frames == before
+    assert replay_filter(guard, fragment(CubeId(1, 0, 0), 10, 0))
+
+
+def test_begin_frame_opens_window_and_deletes_older_frames():
+    """begin_frame(i) opens [i - REPLAY_WINDOW_FRAMES, i], keeps what the
+    frames still open hold, and deletes the older ones with their buffers;
+    the same id again changes nothing."""
+    guard = ReplayGuard()
+    flow = CubeId(0, 0, 0)
+    guard.begin_frame(5)
+    assert sorted(guard.frames) == list(range(5 - REPLAY_WINDOW_FRAMES, 6))
+    for frame in guard.frames:
+        assert replay_filter(guard, fragment(flow, frame, 0))
+    guard.begin_frame(6)
+    assert sorted(guard.frames) == list(range(6 - REPLAY_WINDOW_FRAMES, 7))
+    assert guard.frames[5] == {flow: {0: fragment(flow, 5, 0)}} and guard.frames[6] == {}
+    before = copy.deepcopy(guard.frames)
+    guard.begin_frame(6)
+    assert guard.frames == before
 
 
 # --- admission ---
@@ -260,6 +301,7 @@ def open_flows(client):
 
 def test_client_reassembles_and_admits():
     client = Client(ROOT)
+    client.guard.begin_frame(0)
     cube = CubeId(0, 0, 9)
     sealed, plain = sealed_unit(cube, frame=0, n_points=400)
     frags = packetize(sealed.to_bytes(), cube, 0, mtu=300)
@@ -275,6 +317,7 @@ def test_client_reassembles_and_admits():
 
 def test_client_ignores_duplicate_fragments():
     client = Client(ROOT)
+    client.guard.begin_frame(0)
     cube = CubeId(0, 1, 9)
     sealed, _ = sealed_unit(cube, frame=0, n_points=400)
     frags = packetize(sealed.to_bytes(), cube, 0, mtu=300)
@@ -316,6 +359,7 @@ def test_client_buffers_bounded_over_long_lossy_session():
     flows = [CubeId(0, 0, k) for k in range(3)]
     completed = 0
     for frame in range(10_000):
+        client.guard.begin_frame(frame)
         lost = flows[frame % len(flows)]
         for flow in flows:
             unit = sealed_unit(flow, frame=frame, epoch=0, n_points=100)[0].to_bytes()
@@ -336,6 +380,7 @@ def test_client_completes_late_fragments_inside_replay_window():
     flow = CubeId(0, 2, 9)
     last = {}
     for frame in range(REPLAY_WINDOW_FRAMES + 2):
+        client.guard.begin_frame(frame)
         unit = sealed_unit(flow, frame=frame, n_points=100)[0].to_bytes()
         *head, last[frame] = packetize(unit, flow, frame, mtu=200)
         assert all(client.on_datagram(d, 0.0) is None for d in head)
@@ -352,16 +397,20 @@ def test_malformed_datagrams_logged_and_dropped_not_raised():
     client = Client(ROOT)
     flow = CubeId(1, 2, 3)
     # frag_index >= frag_count: the fragments can never form a unit
+    client.guard.begin_frame(0)
     assert client.on_datagram(Datagram(flow, 0, 5, 1, b"x"), 2.5) is None
     assert not client.guard.frames[0][flow]
     # one complete fragment whose bytes are not a sealed unit
+    client.guard.begin_frame(1)
     assert client.on_datagram(Datagram(flow, 1, 0, 1, b"not a sealed unit"), 3.5) is None
     assert client.state.failure_log == [(0, flow, "malformed", 2.5), (1, flow, "malformed", 3.5)]
     # the same guard covers the plain-unit path, which reassembles through intake
+    client.guard.begin_frame(2)
     assert client.intake(Datagram(flow, 2, 3, 2, b"x"), 4.5) is None
     assert client.intake(Datagram(flow, 2, 0, 2, b"x"), 4.6) is None
     assert client.state.failure_log[-1] == (2, flow, "malformed", 4.6)
     assert open_flows(client) == 0
+    client.guard.begin_frame(3)
     sealed, plain = sealed_unit(flow, frame=3)
     (dgram,) = packetize(sealed.to_bytes(), flow, 3)
     got = client.on_datagram(dgram, 5.0)
@@ -374,6 +423,7 @@ def test_fragment_after_completion_is_a_replay():
     and frame is rejected and opens no state; other frames still accept."""
     client = Client(ROOT)
     flow = CubeId(2, 2, 2)
+    client.guard.begin_frame(4)
     sealed, _ = sealed_unit(flow, frame=4)
     (dgram,) = packetize(sealed.to_bytes(), flow, 4)
     assert client.on_datagram(dgram, 1.0) is not None
@@ -384,6 +434,7 @@ def test_fragment_after_completion_is_a_replay():
     assert client.state.failure_log == []
     assert client.guard.frames[4] == {flow: ()}
     assert not replay_filter(client.guard, late)
+    client.guard.begin_frame(5)
     assert replay_filter(client.guard, late._replace(frame_id=5))
 
 
@@ -393,6 +444,7 @@ def test_fragments_after_malformed_completion_are_replays():
     unit still completes."""
     client = Client(ROOT)
     flow = CubeId(2, 3, 2)
+    client.guard.begin_frame(6)
     assert client.intake(Datagram(flow, 6, 0, 3, b"x"), 1.0) is None
     assert client.intake(Datagram(flow, 6, 1, 2, b"x"), 1.1) is None
     assert client.intake(Datagram(flow, 6, 2, 1, b"x"), 1.2) is None
@@ -400,6 +452,7 @@ def test_fragments_after_malformed_completion_are_replays():
     for index in range(3):
         assert not replay_filter(client.guard, Datagram(flow, 6, index, 3, b"x"))
     assert open_flows(client) == 0
+    client.guard.begin_frame(7)
     sealed, plain = sealed_unit(flow, frame=7)
     (dgram,) = packetize(sealed.to_bytes(), flow, 7)
     assert client.admit(client.on_datagram(dgram, 2.0)).plaintext == plain
@@ -424,7 +477,9 @@ def test_authenticated_replay_in_newer_fragments_is_not_admitted():
     s0, _ = sealed_unit(cube, frame=0, n_points=60)
     s1, p1 = sealed_unit(cube, frame=1, n_points=60)
     for frame, sealed in ((0, s0), (1, s1)):
+        client.guard.begin_frame(frame)
         assert isinstance(client.admit(_deliver(client, sealed, cube, frame)), Admitted)
+    client.guard.begin_frame(5)
     assert _deliver(client, s0, cube, 5, arrival_ms=9.0) is None
     assert client.state.failure_log == [(5, cube, "replay", 9.0)]
     summary, resolved = frame_compose(5, {}, [cube], client.state)
@@ -437,6 +492,7 @@ def test_unit_under_another_flow_is_a_replay():
     in vain."""
     client = Client(ROOT)
     cube, other = CubeId(3, 1, 7), CubeId(3, 2, 7)
+    client.guard.begin_frame(2)
     sealed, _ = sealed_unit(cube, frame=2)
     assert _deliver(client, sealed, other, 2, arrival_ms=1.5) is None
     assert client.state.failure_log == [(2, other, "replay", 1.5)]
@@ -447,13 +503,14 @@ def test_forged_flow_flood_stays_within_window_bound():
     """Fragment headers are unauthenticated, so a forger can name a fresh
     flow id in every datagram. Each forged fragment opens a flow that
     never completes; the table still spans at most REPLAY_WINDOW_FRAMES + 1
-    frames, and each frame's entries go once the honest flow moves past the
-    window."""
+    frames, and each frame's entries go once the client's frame clock moves
+    past the window."""
     client = Client(ROOT)
     honest = CubeId(0, 0, 0)
     per_frame = 100
     bound = REPLAY_WINDOW_FRAMES + 1
     for frame in range(200):
+        client.guard.begin_frame(frame)
         for k in range(per_frame):
             forged = CubeId(1 + frame * per_frame + k, 7, 7)
             assert client.on_datagram(Datagram(forged, frame, 0, 2, b"x"), 0.0) is None
@@ -472,6 +529,7 @@ def test_epoch_top_bit_flip_is_an_auth_failure():
     is logged as an auth failure instead of raising."""
     client = Client(ROOT)
     cube = CubeId(4, 0, 4)
+    client.guard.begin_frame(3)
     sealed, _ = sealed_unit(cube, frame=3)
     wire = bytearray(sealed.to_bytes())
     wire[47] ^= 0x80  # the epoch is the u64 at header bytes 40..47

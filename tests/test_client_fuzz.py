@@ -7,7 +7,8 @@ duplication, reordering, cross-frame replay and mismatched fragment
 counts. After every frame the client must hold its invariants: nothing
 raises, no cube is admitted at or below its last verified frame, what
 renders is what was sent, frame_compose conserves the cube count, and the
-receive window's table stays within its bound.
+receive window's table stays within its bound. A forged frame id cannot
+move the window, so honest traffic keeps being admitted after one.
 """
 
 import struct
@@ -36,14 +37,10 @@ BOUND = REPLAY_WINDOW_FRAMES + 1
 # fragment
 CAP = BOUND * 3 * 2 * len(FLOWS)
 REPLAY_DEPTH = 6  # cross-frame replays reach this many frames back
-# A forged frame id far ahead of the sender moves the session's mark past
-# every honest frame; from then on the receiver holds every cube over.
-# Bit flips in the frame id stay in its low 4 bits (a move of at most 8
-# frames, which the receiver outlives) and one far-ahead id is sent here,
-# so the last frames check the invariants of a stalled receiver.
+# One datagram naming a frame far ahead of the client's clock is sent at
+# this frame; the frames after it must admit as many units as the frames
+# before it do.
 STALL_FRAME = 9_000
-
-_FRAME_BITS = range(12 * 8, 20 * 8)  # the frame id's bits in the fragment header
 
 
 def _plaintext(cube, frame):
@@ -83,10 +80,7 @@ def _mutate(rng, frame, dgrams, history):
             except MalformedHeader:
                 d = None
         elif r < 0.04:  # fragment-header bit flip
-            bit = rng.randint(0, 8 * FRAG_HEADER_LEN - 1)
-            if bit in _FRAME_BITS:
-                bit = _FRAME_BITS[0] + bit % 4
-            d = _flip(d, bit)
+            d = _flip(d, rng.randint(0, 8 * FRAG_HEADER_LEN - 1))
         elif r < 0.07:  # unit-byte bit flip
             d = _flip(d, rng.randint(8 * FRAG_HEADER_LEN, 8 * d.wire_len - 1))
         elif r < 0.09:  # mismatched fragment count
@@ -110,8 +104,9 @@ def test_fuzzed_datagrams_keep_client_invariants():
     client = Client(ROOT)
     history = deque(maxlen=REPLAY_DEPTH)
     sent = {}
-    admitted = 0
+    admitted = [0, 0]  # units admitted up to STALL_FRAME, and after it
     for frame in range(FRAMES):
+        client.guard.begin_frame(frame)
         honest, sent_now = _honest(frame)
         sent.update(sent_now)
         stream = _mutate(rng, frame, honest, history)
@@ -129,7 +124,7 @@ def test_fuzzed_datagrams_keep_client_invariants():
             if isinstance(out, Admitted):
                 assert prior is None or out.frame_id > prior[0], (frame, out.cube_id)
                 assert out.plaintext == sent[out.cube_id, out.frame_id], (frame, out.cube_id)
-                admitted += 1
+                admitted[frame > STALL_FRAME] += 1
             outcomes[out.cube_id] = out
         summary, resolved = frame_compose(frame, outcomes, FLOWS, client.state, now_ms=frame * 33.0)
         assert summary.admitted + summary.held + summary.dropped == len(FLOWS) == len(resolved)
@@ -139,7 +134,9 @@ def test_fuzzed_datagrams_keep_client_invariants():
         assert sum(len(frags) for flows in frames.values() for frags in flows.values()) <= CAP
         for key in [k for k in sent if k[1] <= frame - 2 * REPLAY_DEPTH]:
             del sent[key]
-    # the mutations leave most units intact: the honest path stays exercised
-    assert admitted > 0.6 * len(FLOWS) * STALL_FRAME
+    # the mutations leave most units intact: the honest path stays exercised,
+    # after the far-ahead frame id as before it
+    assert admitted[0] > 0.6 * len(FLOWS) * STALL_FRAME
+    assert admitted[1] > 0.6 * len(FLOWS) * (FRAMES - STALL_FRAME - 1)
     reasons = {entry[2] for entry in client.state.failure_log}
     assert {"replay", "malformed", "auth_failure"} <= reasons

@@ -22,6 +22,7 @@ from privis.partition import (
     _count_nonempty,
     _distinct,
     _unpack_keys,
+    membership_change_fraction,
     partition_frame,
     reuse_or_repartition,
 )
@@ -76,28 +77,27 @@ def _grouped(frames, cfg=PartitionConfig()):
     return out
 
 
-def _assert_same_cube_set(a, b):
+def _assert_same_cube_set(a, b, frame):
     assert (a.frame_id, a.boundary_epoch, a.grid_edge) == (b.frame_id, b.boundary_epoch, b.grid_edge)
     assert a.grid_origin.tobytes() == b.grid_origin.tobytes()
     assert [c.id for c in a.cubes] == [c.id for c in b.cubes]
     for x, y in zip(a.cubes, b.cubes):
         assert np.array_equal(x.point_indices, y.point_indices)
-        assert x.centroid.tobytes() == y.centroid.tobytes(), x.id
-        assert x.sensitive_points == y.sensitive_points, x.id
     assert a.point_keys.tobytes() == b.point_keys.tobytes()
     for cs in (a, b):
-        _assert_columns_match_cubes(cs)
+        _assert_columns_match_cubes(cs, frame)
     for x, y in zip(a.columns, b.columns):
         assert (x.dtype, x.tobytes()) == (y.dtype, y.tobytes())
 
 
-def _assert_columns_match_cubes(cs):
-    """Row j of the columns describes cube j."""
+def _assert_columns_match_cubes(cs, frame):
+    """Row j of the columns describes cube j of ``frame``."""
     keys, counts, centroids, sensitive = cs.columns
     assert [CubeId(*row) for row in _unpack_keys(keys).tolist()] == [c.id for c in cs.cubes]
     assert counts.tolist() == [c.num_points for c in cs.cubes]
-    assert sensitive.tolist() == [c.sensitive_points for c in cs.cubes]
-    assert centroids.tobytes() == b"".join(c.centroid.tobytes() for c in cs.cubes)
+    assert sensitive.tolist() == [int(frame.sensitivity[c.point_indices].sum()) for c in cs.cubes]
+    means = [frame.positions[c.point_indices].mean(axis=0) for c in cs.cubes]
+    np.testing.assert_allclose(centroids, np.reshape(means, (-1, 3)), rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("threshold", [0.2, 1.0])
@@ -106,7 +106,7 @@ def test_masked_reuse_matches_full_relocation(frames, threshold):
     cfg = PartitionConfig(change_threshold=threshold)
     epochs = []
     for cubes, prev, frame in _grouped(frames, cfg)[1:]:
-        _assert_same_cube_set(cubes, reuse_or_repartition(prev, frame, cfg))
+        _assert_same_cube_set(cubes, reuse_or_repartition(prev, frame, cfg), frame)
         epochs.append(cubes.boundary_epoch)
     if threshold == 1.0 or name in ("orbit", "static"):
         assert epochs == [0] * len(epochs)
@@ -161,7 +161,7 @@ def test_orbit_spill_rebuilds_cells_points_enter_and_leave():
         }
         assert shared, f"frame {i}: no cell holds both moved and unmoved points"
         assert shared <= cubes.rebuilt_since(prev)
-        _assert_same_cube_set(cubes, reuse_or_repartition(prev, frame))
+        _assert_same_cube_set(cubes, reuse_or_repartition(prev, frame), frame)
 
 
 def test_recolor_only_change_rebuilds_its_cube():
@@ -174,7 +174,7 @@ def test_recolor_only_change_rebuilds_its_cube():
     assert changed.tolist() == [123]
     cubes = reuse_or_repartition(prev, frame, PartitionConfig(), changed)
     assert cubes.rebuilt_since(prev) == _cube_ids_of(prev, np.array([123]))
-    _assert_same_cube_set(cubes, reuse_or_repartition(prev, frame))
+    _assert_same_cube_set(cubes, reuse_or_repartition(prev, frame), frame)
 
 
 def _far_apart_frame(frame_id):
@@ -197,7 +197,8 @@ def _far_apart_frame(frame_id):
 def test_far_apart_frame_packs_and_a_jump_beyond_the_grid_repartitions():
     """The bisection stops at an edge of extent / 2**20 at the finest, so
     every cell packs; under reuse, a point that jumps out of the packable
-    range re-partitions the frame, however few points moved."""
+    range re-partitions the frame, however few points moved, and the change
+    measure reads that frame as a total change."""
     first = _far_apart_frame(0)
     prev = partition_frame(first)
     assert prev.grid_edge >= 1e9 / 2**20
@@ -207,18 +208,19 @@ def test_far_apart_frame_packs_and_a_jump_beyond_the_grid_repartitions():
     moved.positions[5, 0] += 0.5  # stays in its cell
     cubes = reuse_or_repartition(prev, moved, PartitionConfig(), _changed_points(moved, first))
     assert (cubes.boundary_epoch, cubes.grid_edge) == (prev.boundary_epoch, prev.grid_edge)
-    _assert_same_cube_set(cubes, reuse_or_repartition(prev, moved))
+    _assert_same_cube_set(cubes, reuse_or_repartition(prev, moved), moved)
     for jump, epoch in ((1e12, prev.boundary_epoch), (1e16, prev.boundary_epoch + 1)):
         jumped = _far_apart_frame(2)
         jumped.positions[7, 0] += jump  # 1e12: 2,000 cells on; 1e16: 2e7, beyond 2**20
+        assert membership_change_fraction(cubes, jumped) == (1 / 65 if epoch == prev.boundary_epoch else 1.0)
         for threshold in (0.2, 1.0):  # one point in 65 is below either
             cfg = PartitionConfig(change_threshold=threshold)
             again = reuse_or_repartition(cubes, jumped, cfg, _changed_points(jumped, moved))
             assert again.boundary_epoch == epoch
             if epoch == prev.boundary_epoch:
-                _assert_same_cube_set(again, reuse_or_repartition(cubes, jumped, cfg))
+                _assert_same_cube_set(again, reuse_or_repartition(cubes, jumped, cfg), jumped)
             else:
-                _assert_same_cube_set(again, partition_frame(jumped, boundary_epoch=epoch))
+                _assert_same_cube_set(again, partition_frame(jumped, boundary_epoch=epoch), jumped)
 
 
 def test_cube_ids_of_matches_unique_reference(frames):
@@ -248,17 +250,17 @@ def _reference_scores(cubes, frame, prev_cubes, cfg):
     radius = 2.0 * cubes.grid_edge
     prev_centroids = None
     if prev_cubes is not None and prev_cubes.cubes:
-        prev_centroids = np.array([c.centroid for c in prev_cubes.cubes])
+        prev_centroids = prev_cubes.columns.centroids
     scores = []
-    for cube in cubes.cubes:
+    for cube, centroid in zip(cubes.cubes, cubes.columns.centroids):
         prev_c = None
         if prev_centroids is not None:
-            d2 = np.sum((prev_centroids - cube.centroid) ** 2, axis=1)
+            d2 = np.sum((prev_centroids - centroid) ** 2, axis=1)
             best = int(np.argmin(d2))
             if d2[best] < radius * radius:
                 prev_c = prev_centroids[best]
-        phi_p = perceptual_saliency(cube, frame, prev_c, cfg, max_points)
-        phi_s = privacy_saliency(cube, frame, cfg)
+        phi_p = perceptual_saliency(cube, frame, centroid, prev_c, cfg, max_points)
+        phi_s = privacy_saliency(cube, frame, centroid, cfg)
         scores.append(SaliencyScore(cube.id, phi_p, phi_s, joint_saliency(phi_p, phi_s, cfg.alpha)))
     scores.sort(key=lambda r: (-r.s, r.cube_id))
     return scores
@@ -347,7 +349,7 @@ def test_seeded_edits_match_the_per_column_reference(kind):
         for threshold in (0.2, 1.0):
             cfg = PartitionConfig(change_threshold=threshold)
             got = reuse_or_repartition(prev, frame, cfg, changed)
-            _assert_same_cube_set(got, reuse_or_repartition(prev, frame, cfg))
+            _assert_same_cube_set(got, reuse_or_repartition(prev, frame, cfg), frame)
             if changed is not None and got.boundary_epoch == prev.boundary_epoch:
                 ids = {c.id for c in got.cubes}
                 assert got.rebuilt_since(prev) == _touched(got, prev, changed) & ids

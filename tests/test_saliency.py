@@ -37,28 +37,26 @@ def test_joint_saliency_rejects_out_of_range():
 
 
 def make_cube(frame):
-    """One cube covering the whole hand-built frame."""
+    """One cube covering the whole hand-built frame, and its centroid."""
     from privis.partition import Cube, CubeId
 
-    idx = np.arange(frame.num_points)
-    pts = frame.positions
-    return Cube(CubeId(0, 0, 0), idx, pts.mean(axis=0), int(frame.sensitivity.sum()))
+    return Cube(CubeId(0, 0, 0), np.arange(frame.num_points)), frame.positions.mean(axis=0)
 
 
 def test_single_cube_frame_degenerate_case():
     # viewpoint at the centroid: density = 1, motion = 0, view proximity = 1
     frame = make_frame([(0.1, 0, 0), (-0.1, 0, 0)], viewpoint=(0, 0, 0))
-    cube = make_cube(frame)
-    phi = perceptual_saliency(cube, frame, None, CFG, max_points=cube.num_points)
+    cube, centroid = make_cube(frame)
+    phi = perceptual_saliency(cube, frame, centroid, None, CFG, max_points=cube.num_points)
     assert phi == pytest.approx(CFG.w_density + CFG.w_view)
 
 
 def test_static_cube_contributes_zero_motion():
     frame = make_frame([(0, 0, 0), (0.1, 0, 0)], viewpoint=(5, 5, 5))
     cs = partition_frame(frame, 1)
-    cube = cs.cubes[0]
-    with_prev = perceptual_saliency(cube, frame, cube.centroid, CFG, cube.num_points)
-    without = perceptual_saliency(cube, frame, None, CFG, cube.num_points)
+    cube, centroid = cs.cubes[0], cs.columns.centroids[0]
+    with_prev = perceptual_saliency(cube, frame, centroid, centroid, CFG, cube.num_points)
+    without = perceptual_saliency(cube, frame, centroid, None, CFG, cube.num_points)
     assert with_prev == pytest.approx(without)
 
 
@@ -72,10 +70,10 @@ def test_density_ratio_hand_computed():
     assert sizes == {30, 10}
     max_points = 30
     dens = {}
-    for cube in cs.cubes:
+    for cube, centroid in zip(cs.cubes, cs.columns.centroids):
         # isolate the density term: subtract the view contribution
-        phi = perceptual_saliency(cube, frame, None, CFG, max_points)
-        view = 1.0 / (1.0 + np.linalg.norm(cube.centroid - frame.viewpoint))
+        phi = perceptual_saliency(cube, frame, centroid, None, CFG, max_points)
+        view = 1.0 / (1.0 + np.linalg.norm(centroid - frame.viewpoint))
         dens[cube.num_points] = (phi - CFG.w_view * view) / CFG.w_density
     assert dens[30] == pytest.approx(1.0, abs=1e-9)
     assert dens[10] == pytest.approx(10 / 30, abs=1e-9)
@@ -85,8 +83,8 @@ def test_privacy_all_sensitive_at_anchor():
     frame = make_frame(
         [(0, 0, 0), (0.05, 0, 0)], sensitivity=[1, 1], anchor=(0.025, 0, 0)
     )
-    cube = make_cube(frame)
-    phi = privacy_saliency(cube, frame, CFG)
+    cube, centroid = make_cube(frame)
+    phi = privacy_saliency(cube, frame, centroid, CFG)
     assert phi == pytest.approx(CFG.w_identity + CFG.w_user, abs=1e-9)
 
 
@@ -94,19 +92,19 @@ def test_privacy_exposure_fraction_direct_count():
     sens = [1, 1, 1] + [0] * 9  # 3 of 12 sensitive
     pts = np.random.default_rng(3).normal(0, 0.05, (12, 3))
     frame = make_frame(pts, sensitivity=sens, anchor=(50, 0, 0))
-    cube = make_cube(frame)
-    phi = privacy_saliency(cube, frame, CFG)
-    exposure = (phi - CFG.w_user * (1.0 / (1.0 + np.linalg.norm(cube.centroid - frame.user_anchor)))) / CFG.w_identity
+    cube, centroid = make_cube(frame)
+    phi = privacy_saliency(cube, frame, centroid, CFG)
+    exposure = (phi - CFG.w_user * (1.0 / (1.0 + np.linalg.norm(centroid - frame.user_anchor)))) / CFG.w_identity
     assert exposure == pytest.approx(0.25, abs=1e-9)
 
 
 def test_empty_cube_rejected(small_frames, small_cubes):
-    cube = small_cubes.cubes[0]
-    empty = type(cube)(cube.id, np.array([], dtype=np.int64), cube.centroid, 0)
+    cube, centroid = small_cubes.cubes[0], small_cubes.columns.centroids[0]
+    empty = type(cube)(cube.id, np.array([], dtype=np.int64))
     with pytest.raises(ValidationError):
-        perceptual_saliency(empty, small_frames[0], None, CFG)
+        perceptual_saliency(empty, small_frames[0], centroid, None, CFG)
     with pytest.raises(ValidationError):
-        privacy_saliency(empty, small_frames[0], CFG)
+        privacy_saliency(empty, small_frames[0], centroid, CFG)
 
 
 def test_scores_sorted_descending_with_id_tiebreak(small_frames, small_cubes):
@@ -149,7 +147,8 @@ def test_label_monotonicity():
     lo = make_frame(pts, sensitivity=[1, 0, 0, 0, 0, 0, 0, 0, 0, 0])
     hi = make_frame(pts, sensitivity=[1, 1, 0, 0, 0, 0, 0, 0, 0, 0])
     cs = partition_frame(lo, 1)
-    assert privacy_saliency(cs.cubes[0], hi, CFG) >= privacy_saliency(cs.cubes[0], lo, CFG)
+    cube, centroid = cs.cubes[0], cs.columns.centroids[0]
+    assert privacy_saliency(cube, hi, centroid, CFG) >= privacy_saliency(cube, lo, centroid, CFG)
 
 
 def test_motion_cue_tracks_moving_content(small_scene, small_frames):
