@@ -56,7 +56,7 @@ from functools import partial
 
 import numpy as np
 
-from .client import AdmitOutcome, Client, FrameSummary, frame_compose
+from .client import AdmitOutcome, Admitted, Client, FrameSummary, frame_compose
 from .errors import ConfigError, OrderingError
 from .frame_io import PointCloudFrame, SceneSpec, generate_frame
 from .keyring import KeyRing, RootKey
@@ -318,7 +318,6 @@ class _PlainCodec:
     framing and parsing count as transport_assembly."""
 
     seal_stage = open_stage = "transport_assembly"
-    overhead = 4  # the point count
 
     def schedule(self, cid, frame_id, pol, stable):
         return None, False
@@ -341,11 +340,10 @@ class _PlainCodec:
         if len(unit) != 4 + 16 * n:
             client.state.log_failure(dgram.frame_id, dgram.flow_id, "malformed", arrival)
             return None
-        plain = CubePlaintext(unit[4 : 4 + 12 * n], unit[4 + 12 * n :])
-        return dgram.flow_id, dgram.frame_id, plain
+        return dgram.flow_id, dgram.frame_id, CubePlaintext.from_bytes(unit[4:])
 
     def admit(self, client, item, arrival) -> AdmitOutcome:
-        return client.admit_plain(*item, now_ms=arrival)
+        return client.state.render_newest(*item, arrival)
 
 
 @dataclass(frozen=True)
@@ -511,8 +509,9 @@ class Session:
 
         # receiver: the client's frame clock moves the receive window; then
         # replay filter and reassembly per datagram; a unit is verified
-        # (admitted, for plain units) as soon as it completes; then frame
-        # composition
+        # (rendered, for plain units) as soon as it completes; then frame
+        # composition, which files only Admitted outcomes and this frame's
+        # own, so a bad unit of an older frame cannot displace an admitted cube
         clock.switch("transport_assembly")
         client.guard.begin_frame(i)
         outcomes = {}
@@ -522,7 +521,8 @@ class Session:
             if item is not None:
                 clock.switch(codec.open_stage)
                 out = codec.admit(client, item, arrival)
-                outcomes[out.cube_id] = out
+                if isinstance(out, Admitted) or out.frame_id == i:
+                    outcomes[out.cube_id] = out
                 clock.switch("transport_assembly")
         summary, resolved = frame_compose(i, outcomes, sorted(plan), client.state, now_ms=nominal_time)
         clock.switch(None)
@@ -657,11 +657,9 @@ def compare_modes(base: RunConfig, modes: tuple[str, ...] = MODES) -> Comparison
 def write_session_csvs(result: SessionResult, out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
     mode = result.mode
-    frames_path = os.path.join(out_dir, "frames.csv")
-    new = not os.path.exists(frames_path)
-    with open(frames_path, "a", newline="") as f:
+    with open(os.path.join(out_dir, "frames.csv"), "a", newline="") as f:
         w = csv.DictWriter(f, fieldnames=list(result.frame_rows[0].keys()))
-        if new:
+        if f.tell() == 0:
             w.writeheader()
         w.writerows(result.frame_rows)
     with open(os.path.join(out_dir, "summary.csv"), "a", newline="") as f:

@@ -1,7 +1,9 @@
 """Receiver: reassembly, replay filtering, decrypt-before-render admission.
 
-Every cube passes open_cube before anything reaches the render path; a
-failed unit never releases plaintext. On verification failure the client
+Every sealed unit passes open_cube, in Client.admit, before anything
+reaches the render path; a failed unit never releases plaintext. A plain
+(noenc) unit has nothing to verify and renders by RenderState.render_newest,
+the rule a verified unit follows. On verification failure the client
 falls back to the last verified version of that cube (hold-over) when one
 exists, else drops the region for the frame. Hold-over keeps exactly one
 prior version per cube, so staleness is bounded and observable through the
@@ -25,7 +27,9 @@ and cube; anything else is logged as a replay.
 
 Missing-versus-tampered policy: a cube that fails authentication holds
 over (tamper is evidence the sender tried); a cube with no completed unit
-this frame holds over with history and drops without.
+this frame holds over with history and drops without. A frame files
+only outcomes that are Admitted or name that frame: a failed or replayed
+unit of an older window frame is logged and leaves the frame unchanged.
 """
 
 from __future__ import annotations
@@ -48,7 +52,6 @@ __all__ = [
     "FrameSummary",
     "Client",
     "replay_filter",
-    "admit_cube",
     "frame_compose",
 ]
 
@@ -154,29 +157,6 @@ class RenderState:
         return Admitted(cube_id, frame_id, plaintext)
 
 
-def admit_cube(
-    sealed: SealedCube,
-    root: RootKey,
-    state: RenderState,
-    now_ms: float = 0.0,
-) -> AdmitOutcome:
-    """Verify one reassembled cube and update render state.
-
-    The key is derived from the header's (cube id, epoch) on every admit,
-    so the client keeps no key state. Verification failure is always
-    logged and resolves by RenderState.hold_over; a unit that verifies
-    renders by RenderState.render_newest.
-    """
-    cid = sealed.cube_id
-    try:
-        plaintext = open_cube(sealed, derive_key(root, cid, sealed.epoch))
-    except (AuthFailure, MalformedHeader) as e:
-        reason = "auth_failure" if isinstance(e, AuthFailure) else "malformed"
-        state.log_failure(sealed.frame_id, cid, reason, now_ms)
-        return state.hold_over(cid, sealed.frame_id, reason)
-    return state.render_newest(cid, sealed.frame_id, plaintext, now_ms)
-
-
 @dataclass(frozen=True)
 class FrameSummary:
     frame_id: int
@@ -272,12 +252,18 @@ class Client:
             return None
 
     def admit(self, sealed: SealedCube, now_ms: float = 0.0) -> AdmitOutcome:
-        return admit_cube(sealed, self.root, self.state, now_ms)
+        """Verify one reassembled sealed unit and update render state.
 
-    def admit_plain(
-        self, cube_id: CubeId, frame_id: int, plaintext: CubePlaintext, now_ms: float = 0.0
-    ) -> AdmitOutcome:
-        """Admit an unencrypted unit (raw streaming): there is nothing to
-        verify, so it goes straight to RenderState.render_newest, the rule
-        admit_cube applies to a unit that verifies."""
-        return self.state.render_newest(cube_id, frame_id, plaintext, now_ms)
+        The key is derived from the header's (cube id, epoch) on every
+        admit, so the client keeps no key state. Verification failure is
+        always logged and resolves by RenderState.hold_over; a unit that
+        verifies renders by RenderState.render_newest.
+        """
+        cid, frame_id = sealed.cube_id, sealed.frame_id
+        try:
+            plaintext = open_cube(sealed, derive_key(self.root, cid, sealed.epoch))
+        except (AuthFailure, MalformedHeader) as e:
+            reason = "auth_failure" if isinstance(e, AuthFailure) else "malformed"
+            self.state.log_failure(frame_id, cid, reason, now_ms)
+            return self.state.hold_over(cid, frame_id, reason)
+        return self.state.render_newest(cid, frame_id, plaintext, now_ms)

@@ -22,7 +22,6 @@ from operator import sub
 import numpy as np
 
 from .errors import ConfigError, InsufficientData
-from .netw import TrafficTrace
 
 __all__ = [
     "LeakageConfig",
@@ -67,12 +66,13 @@ class LeakageReport:
     sample_count: int
 
 
-def trace_features(trace: TrafficTrace) -> tuple[float, float, float]:
-    """(total_bytes, packet_count, mean inter-send gap in ms)."""
-    n = trace.packet_count
+def trace_features(records: list[tuple[int, float]]) -> tuple[float, float, float]:
+    """(total_bytes, packet_count, mean inter-send gap in ms) of one flow's
+    trace, the list of (wire length, send time) records netw.transmit returns."""
+    n = len(records)
     if n == 0:
         return (0.0, 0.0, 0.0)
-    lengths, times = zip(*trace.records)
+    lengths, times = zip(*records)
     total = float(sum(lengths))
     if n == 1:
         return (total, 1.0, 0.0)

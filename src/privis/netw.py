@@ -18,15 +18,15 @@ channel constant is mixed into that seed, so a channel seeded like the
 sender's shaping (shaping.flow_rng) still draws a stream of its own, and
 a fragment's loss does not follow its shaping draws.
 
-Traffic traces record the sender's egress, (wire length, send time) per
-datagram, before channel loss: that is the side a traffic-analysis
-adversary observes.
+A flow's traffic trace is a plain list of the sender's egress, one (wire
+length, send time) record per datagram, before channel loss: that is the
+side a traffic-analysis adversary observes.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -37,7 +37,6 @@ from .rng import Mcg64, mix64
 __all__ = [
     "NetConfig",
     "Datagram",
-    "TrafficTrace",
     "packetize",
     "reassemble",
     "transmit",
@@ -101,18 +100,6 @@ class Datagram(NamedTuple):
         return FRAG_HEADER_LEN + len(self.payload)
 
 
-@dataclass
-class TrafficTrace:
-    """Sender-side observable record of one flow: (length, send time) pairs."""
-
-    flow_id: CubeId
-    records: list[tuple[int, float]] = field(default_factory=list)
-
-    @property
-    def packet_count(self) -> int:
-        return len(self.records)
-
-
 def packetize(unit: bytes, flow_id: CubeId, frame_id: int, mtu: int = 1200) -> list[Datagram]:
     """Split one sealed unit into MTU-sized fragments."""
     payload_max = mtu - FRAG_HEADER_LEN
@@ -146,12 +133,12 @@ def reassemble(datagrams: list[Datagram]) -> bytes | None:
 def transmit(
     sendlist: list[tuple[Datagram, float]],
     cfg: NetConfig = NetConfig(),
-) -> tuple[list[tuple[Datagram, float]], dict[CubeId, TrafficTrace]]:
+) -> tuple[list[tuple[Datagram, float]], dict[CubeId, list[tuple[int, float]]]]:
     """Run the channel over (datagram, send_time) pairs.
 
     Returns (delivered, traces): delivered pairs carry arrival times and
-    come back sorted by arrival; traces capture every datagram as sent,
-    per flow, ordered by send time, independent of loss.
+    come back sorted by arrival; traces list each flow's (wire length,
+    send time) records as sent, ordered by send time, independent of loss.
     """
     # grouped with get() rather than setdefault(), which builds a list per
     # datagram; fields are read by index (flow_id, frame_id, ..., payload)
@@ -192,5 +179,4 @@ def transmit(
                         i += 1
             delivered.extend(survivors)
     delivered.sort(key=itemgetter(1))
-    traces = {flow_id: TrafficTrace(flow_id, recs) for flow_id, recs in records.items()}
-    return delivered, traces
+    return delivered, records

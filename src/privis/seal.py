@@ -98,6 +98,13 @@ class CubePlaintext:
         if len(self.geometry) // _GEOMETRY_STRIDE != len(self.attributes) // _ATTR_STRIDE:
             raise ValidationError("geometry/attribute point counts differ")
 
+    @classmethod
+    def from_bytes(cls, data: bytes) -> "CubePlaintext":
+        """Split ``geometry || attributes``, the inverse of joining them;
+        a length that is not whole points raises ValidationError."""
+        geo_len = len(data) // (_GEOMETRY_STRIDE + _ATTR_STRIDE) * _GEOMETRY_STRIDE
+        return cls(data[:geo_len], data[geo_len:])
+
     @property
     def num_points(self) -> int:
         return len(self.geometry) // _GEOMETRY_STRIDE
@@ -305,13 +312,9 @@ def open_cube(sealed: SealedCube, key: bytes) -> CubePlaintext:
         raise AuthFailure(
             f"cube {tuple(sealed.cube_id)} frame {sealed.frame_id}: tag verification failed"
         ) from None
-    if sealed.scope is Scope.FULL_PAYLOAD:
-        n = len(plaintext)
-        geo_len = (n // (_GEOMETRY_STRIDE + _ATTR_STRIDE)) * _GEOMETRY_STRIDE
-        geometry, attrs = plaintext[:geo_len], plaintext[geo_len:]
-    else:
-        geometry, attrs = plaintext, sealed.plain_attributes
     try:
-        return CubePlaintext(geometry, attrs)
+        if sealed.scope is Scope.FULL_PAYLOAD:
+            return CubePlaintext.from_bytes(plaintext)
+        return CubePlaintext(plaintext, sealed.plain_attributes)
     except ValidationError as e:
         raise MalformedHeader(str(e)) from None

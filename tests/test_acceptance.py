@@ -18,7 +18,7 @@ from privis.bench import (
     leakage_scene,
     run_session,
 )
-from privis.client import Dropped, HeldOver, RenderState, admit_cube
+from privis.client import Client, Dropped, HeldOver, RenderState
 from privis.errors import AuthFailure, MalformedHeader
 from privis.frame_io import SceneSpec, generate_frame
 from privis.keyring import KeyEpoch, KeyRing, RootKey, derive_key
@@ -333,11 +333,11 @@ def test_criterion_8_client_policy():
         return SealedCube.from_bytes(bytes(wire))
 
     # without history: dropped
-    out0 = admit_cube(tamper(unit(0, 0)), root, state)
+    out0 = Client(root, state).admit(tamper(unit(0, 0)))
     no_history_ok = isinstance(out0, Dropped)
     # build history at frame 1, tamper frame 2: held over with prior id 1
-    admit_cube(unit(1, 1), root, state)
-    out2 = admit_cube(tamper(unit(2, 2)), root, state)
+    Client(root, state).admit(unit(1, 1))
+    out2 = Client(root, state).admit(tamper(unit(2, 2)))
     history_ok = isinstance(out2, HeldOver) and out2.source_frame_id == 1
 
     # conservation across a 60-frame 10% loss run

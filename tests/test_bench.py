@@ -24,10 +24,11 @@ from privis.__main__ import main
 from privis.client import Client
 from privis.errors import ConfigError
 from privis.frame_io import SceneSpec, generate_frame
-from privis.keyring import RootKey
-from privis.netw import FRAG_HEADER_LEN, Datagram, NetConfig
+from privis.keyring import KeyEpoch, RootKey, derive_key
+from privis.netw import FRAG_HEADER_LEN, Datagram, NetConfig, packetize
 from privis.partition import CubeId
-from privis.seal import CubePlaintext
+from privis.policy import ProtectionLevel, ProtectionPolicy, Scope
+from privis.seal import CubePlaintext, seal_cube
 from privis.shaping import ShapingConfig
 
 SMALL = SceneSpec(seed=7, frame_count=8, points_per_frame=8000, sensitive_fraction=0.2, motion_amplitude=0.1)
@@ -457,3 +458,57 @@ def test_every_sent_plaintext_is_a_fresh_serialization(monkeypatch):
     assert len(sent) == sum(row["sent_units"] for row in r.frame_rows)
     # the rotation frames resend kept cubes, from the plaintext they hold
     assert all(row["rebuilt_cubes"] < row["sent_units"] for row in r.frame_rows[6::6])
+
+
+def test_empty_frames_csv_gets_a_header(tmp_path):
+    """An existing empty frames.csv is a new file: its first rows come
+    after a header, as in the other three CSVs."""
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "frames.csv").touch()
+    r = run_session(small_cfg("noenc"))
+    write_session_csvs(r, str(out))
+    with open(out / "frames.csv", newline="") as f:
+        frames = list(csv.DictReader(f))
+    assert len(frames) == SMALL.frame_count
+    assert [int(row["frame"]) for row in frames] == list(range(SMALL.frame_count))
+
+
+def test_a_frame_files_only_its_own_outcomes(monkeypatch):
+    """Forged units naming the previous (still open) frame, for cubes that
+    sent nothing there, arrive after those cubes' own units of this frame.
+    Each fails verification and is logged, but the frame composes exactly
+    as the clean run does: a failure for an older frame does not displace
+    the admitted cube."""
+    cfg = RunConfig(mode="privis", scene=default_scene(points=8000), root_key_hex="5a" * 32)
+    clean = Session(cfg)
+    for i in range(7):
+        clean.step(i)
+
+    forger = RootKey.from_hex("a5" * 32)
+    policy = ProtectionPolicy(ProtectionLevel.HIGH, 1, Scope.FULL_PAYLOAD, 0.0)
+    sent_by_frame = {}
+    forged = []
+    channel = bench.transmit
+
+    def attacked_transmit(sendlist, net):
+        frame_id = sendlist[0][0].frame_id
+        sent_by_frame[frame_id] = {d.flow_id for d, _t in sendlist}
+        delivered, traces = channel(sendlist, net)
+        if frame_id == 6:
+            forged.extend(sorted(sent_by_frame[6] - sent_by_frame[5])[:5])
+            late = delivered[-1][1] + 1.0
+            for cid in forged:
+                key = KeyEpoch(cid, 0, derive_key(forger, cid, 0), 5)
+                unit = seal_cube(CubePlaintext(bytes(12), bytes(4)), key, policy, 5, forger.session_id)
+                delivered += [(d, late) for d in packetize(unit.to_bytes(), cid, 5, net.mtu)]
+        return delivered, traces
+
+    monkeypatch.setattr(bench, "transmit", attacked_transmit)
+    attacked = Session(cfg)
+    for i in range(7):
+        attacked.step(i)
+    assert len(forged) == 5
+    assert attacked.result.summaries[6] == clean.result.summaries[6]
+    log = attacked.client.state.failure_log
+    assert [(f, cid, reason) for f, cid, reason, _t in log if f == 5] == [(5, cid, "auth_failure") for cid in forged]

@@ -11,7 +11,6 @@ from privis.client import (
     HeldOver,
     RenderState,
     ReplayGuard,
-    admit_cube,
     frame_compose,
     replay_filter,
 )
@@ -159,7 +158,7 @@ def test_valid_cube_admitted_and_recorded():
     state = RenderState()
     cube = CubeId(1, 1, 1)
     sealed, plain = sealed_unit(cube, frame=0)
-    out = admit_cube(sealed, ROOT, state)
+    out = Client(ROOT, state).admit(sealed)
     assert isinstance(out, Admitted)
     assert out.plaintext == plain
     assert state.last_verified[cube][0] == 0
@@ -170,9 +169,9 @@ def test_tampered_with_history_held_over():
     state = RenderState()
     cube = CubeId(2, 1, 1)
     good, plain = sealed_unit(cube, frame=4)
-    admit_cube(good, ROOT, state)
+    Client(ROOT, state).admit(good)
     bad, _ = sealed_unit(cube, frame=5)
-    out = admit_cube(tampered(bad), ROOT, state)
+    out = Client(ROOT, state).admit(tampered(bad))
     assert isinstance(out, HeldOver)
     assert out.source_frame_id == 4
     assert out.plaintext == plain
@@ -183,7 +182,7 @@ def test_tampered_without_history_dropped():
     state = RenderState()
     cube = CubeId(3, 1, 1)
     bad, _ = sealed_unit(cube, frame=0)
-    out = admit_cube(tampered(bad), ROOT, state)
+    out = Client(ROOT, state).admit(tampered(bad))
     assert isinstance(out, Dropped)
     assert cube not in state.last_verified
     assert state.failure_log[-1][2] == "auth_failure"
@@ -193,7 +192,7 @@ def test_no_plaintext_escapes_failed_unit():
     state = RenderState()
     cube = CubeId(4, 1, 1)
     bad, _ = sealed_unit(cube, frame=0)
-    out = admit_cube(tampered(bad), ROOT, state)
+    out = Client(ROOT, state).admit(tampered(bad))
     assert not hasattr(out, "plaintext")
 
 
@@ -204,9 +203,9 @@ def test_last_verified_frame_monotone():
     cube = CubeId(5, 1, 1)
     s7, p7 = sealed_unit(cube, frame=7)
     s3, _ = sealed_unit(cube, frame=3)
-    assert admit_cube(s7, ROOT, state, now_ms=1.0) == Admitted(cube, 7, p7)
-    assert admit_cube(s3, ROOT, state, now_ms=2.0) == HeldOver(cube, 3, 7, p7)
-    assert admit_cube(s7, ROOT, state, now_ms=3.0) == HeldOver(cube, 7, 7, p7)  # same frame again
+    assert Client(ROOT, state).admit(s7, now_ms=1.0) == Admitted(cube, 7, p7)
+    assert Client(ROOT, state).admit(s3, now_ms=2.0) == HeldOver(cube, 3, 7, p7)
+    assert Client(ROOT, state).admit(s7, now_ms=3.0) == HeldOver(cube, 7, 7, p7)  # same frame again
     assert state.last_verified[cube] == (7, p7)
     assert state.failure_log == [(3, cube, "replay", 2.0), (7, cube, "replay", 3.0)]
 
@@ -216,8 +215,8 @@ def test_admit_plain_renders_unit_and_keeps_newest_copy():
     cube = CubeId(5, 1, 2)
     p7 = CubePlaintext(bytes(12), bytes([1, 2, 3, 0]))
     p3 = CubePlaintext(bytes(24), bytes(8))
-    assert client.admit_plain(cube, 7, p7) == Admitted(cube, 7, p7)
-    assert client.admit_plain(cube, 3, p3, now_ms=4.0) == HeldOver(cube, 3, 7, p7)  # late: a replay
+    assert client.state.render_newest(cube, 7, p7, 0.0) == Admitted(cube, 7, p7)
+    assert client.state.render_newest(cube, 3, p3, 4.0) == HeldOver(cube, 3, 7, p7)  # late: a replay
     assert client.state.last_verified[cube] == (7, p7)
     assert client.state.failure_log == [(3, cube, "replay", 4.0)]
     summary, resolved = frame_compose(8, {}, [cube], client.state)
@@ -234,7 +233,7 @@ def test_compose_all_verified():
     outcomes = {}
     for c in cubes:
         sealed, _ = sealed_unit(c, frame=0)
-        outcomes[c] = admit_cube(sealed, ROOT, state)
+        outcomes[c] = Client(ROOT, state).admit(sealed)
     summary, resolved = frame_compose(0, outcomes, cubes, state)
     assert (summary.admitted, summary.held, summary.dropped) == (4, 0, 0)
     assert summary.cube_total == 4
@@ -244,7 +243,7 @@ def test_compose_missing_with_history_holds():
     state = RenderState()
     cube = CubeId(0, 2, 0)
     sealed, plain = sealed_unit(cube, frame=0)
-    admit_cube(sealed, ROOT, state)
+    Client(ROOT, state).admit(sealed)
     summary, resolved = frame_compose(1, {}, [cube], state)
     assert (summary.admitted, summary.held, summary.dropped) == (0, 1, 0)
     assert isinstance(resolved[cube], HeldOver)
@@ -266,16 +265,16 @@ def test_compose_conservation_random_outcomes():
     # give half of them history first
     for c in cubes[:15]:
         sealed, _ = sealed_unit(c, frame=0)
-        admit_cube(sealed, ROOT, state)
+        Client(ROOT, state).admit(sealed)
     outcomes = {}
     for c in cubes:
         r = rng.next_uniform()
         if r < 0.4:
             sealed, _ = sealed_unit(c, frame=1, epoch=1)
-            outcomes[c] = admit_cube(sealed, ROOT, state)
+            outcomes[c] = Client(ROOT, state).admit(sealed)
         elif r < 0.6:
             sealed, _ = sealed_unit(c, frame=1, epoch=1)
-            outcomes[c] = admit_cube(tampered(sealed), ROOT, state)
+            outcomes[c] = Client(ROOT, state).admit(tampered(sealed))
     summary, _ = frame_compose(1, outcomes, cubes, state)
     assert summary.admitted + summary.held + summary.dropped == len(cubes)
 
@@ -285,7 +284,7 @@ def test_failure_log_is_append_only_and_time_monotone():
     cube = CubeId(1, 2, 1)
     for t, frame in ((1.0, 0), (2.0, 1), (5.0, 2)):
         bad, _ = sealed_unit(cube, frame=frame, epoch=frame)
-        admit_cube(tampered(bad), ROOT, state, now_ms=t)
+        Client(ROOT, state).admit(tampered(bad), now_ms=t)
     times = [entry[3] for entry in state.failure_log]
     assert times == sorted(times)
     assert len(times) == 3
@@ -341,7 +340,7 @@ def test_holdover_staleness_bounded_by_rotation_interval():
         outcomes = {}
         if frame % interval == 0:
             sealed, _ = sealed_unit(cube, frame=frame, epoch=frame // interval)
-            outcomes[cube] = admit_cube(sealed, ROOT, state)
+            outcomes[cube] = Client(ROOT, state).admit(sealed)
             last_refresh = frame
         summary, resolved = frame_compose(frame, outcomes, [cube], state)
         out = resolved[cube]

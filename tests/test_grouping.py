@@ -373,3 +373,28 @@ def test_static_pair_reuses_everything_and_serializes_once():
     # a frame of other content shows the bytes come from the Cube, not the frame
     blank = replace(second, colors=np.zeros_like(second.colors))
     assert all(serialize_cube(blank, c) is plain for c, plain in zip(cubes.cubes, held))
+
+
+def test_epoch_moves_exactly_when_the_change_fraction_exceeds_the_threshold():
+    """Seeded property: whatever share of the points moves (none to all,
+    by up to two cell edges, so every cell still packs), reuse_or_repartition
+    re-partitions, moving the boundary epoch by one, exactly when
+    membership_change_fraction exceeds change_threshold, whether it is
+    given the changed points or marks every point."""
+    base = SCENES["static"]()[0]
+    prev = partition_frame(base)
+    n, edge = base.num_points, prev.grid_edge
+    rng = np.random.default_rng(2024)
+    shares = [0.0, 1.0, *rng.uniform(0.0, 1.0, size=34)]
+    for share in shares:
+        points = rng.choice(n, size=int(round(share * n)), replace=False)
+        positions = base.positions.copy()
+        positions[points] += rng.uniform(-2.0, 2.0, size=(len(points), 3)) * edge
+        frame = replace(base, frame_id=1, positions=positions)
+        fraction = membership_change_fraction(prev, frame)
+        for threshold in (0.0, 0.2, 1.0):
+            cfg = PartitionConfig(change_threshold=threshold)
+            for changed in (None, _changed_points(frame, base)):
+                got = reuse_or_repartition(prev, frame, cfg, changed)
+                moved = fraction > threshold
+                assert got.boundary_epoch == prev.boundary_epoch + moved, (share, threshold, fraction)

@@ -12,11 +12,7 @@ from privis.leakage import (
     leakage_check_and_adapt,
     trace_features,
 )
-from privis.netw import TrafficTrace
-from privis.partition import CubeId
 from privis.rng import Mcg64
-
-FLOW = CubeId(0, 0, 0)
 
 
 def brute_force_mi(pairs):
@@ -40,16 +36,16 @@ def bin_value(v, lo, hi, bins):
 
 
 def test_trace_features_two_packets():
-    trace = TrafficTrace(FLOW, [(100, 0.0), (100, 2.0)])
+    trace = [(100, 0.0), (100, 2.0)]
     assert trace_features(trace) == (200.0, 2.0, 2.0)
 
 
 def test_trace_features_empty():
-    assert trace_features(TrafficTrace(FLOW, [])) == (0.0, 0.0, 0.0)
+    assert trace_features([]) == (0.0, 0.0, 0.0)
 
 
 def test_trace_features_single_packet_gap_zero():
-    assert trace_features(TrafficTrace(FLOW, [(50, 1.0)])) == (50.0, 1.0, 0.0)
+    assert trace_features([(50, 1.0)]) == (50.0, 1.0, 0.0)
 
 
 def test_constant_features_carry_no_information():
