@@ -11,9 +11,10 @@ Modes:
              scope-aware sealing, selective shaping, leakage adaptation.
 
 ``Session.step`` is one pipeline for all three. A mode only picks a
-planner (one unit per cube, or one per frame) and a unit codec (plain, or
-sealed under the key schedule); the budget pass, shaping and leakage
-adaptation are switched on for privis alone.
+planner (one unit per cube, or one whole-frame cube) and a unit codec
+(plain, or sealed under the key schedule); serialize_cube packs every
+mode's payload, and the budget pass, shaping and leakage adaptation are
+switched on for privis alone.
 
 Per-frame stage accounting (wall time, monotonic clock):
 
@@ -69,6 +70,7 @@ from .leakage import (
 )
 from .netw import FRAG_HEADER_LEN, Datagram, NetConfig, packetize, transmit
 from .partition import (
+    Cube,
     CubeId,
     CubeSet,
     PartitionConfig,
@@ -203,7 +205,6 @@ class SessionResult:
     per-unit ones only with ``RunConfig.keep_units``, and stay empty
     otherwise."""
 
-    mode: str
     config: RunConfig
     frame_rows: list[dict] = field(default_factory=list)  # one per frame
     mean: LatencyBreakdown = field(default_factory=LatencyBreakdown)  # set by finalize
@@ -284,32 +285,26 @@ class _CubePlanner:
 
     budget: PolicyBudget | None
 
-    def plan(self, policy: PolicyConfig, scores, by_id) -> list[tuple[CubeId, float, ProtectionPolicy]]:
-        if self.budget is None:
-            return [(r.cube_id, r.s, assign_policy(r.s, policy)) for r in scores]
+    def plan(
+        self, frame: PointCloudFrame, policy: PolicyConfig, scores, by_id
+    ) -> list[tuple[Cube, float, ProtectionPolicy]]:
         triplets = [(by_id[r.cube_id], r.s, assign_policy(r.s, policy)) for r in scores]
-        adjusted, _cost, _exhausted = enforce_budget(triplets, self.budget, cfg=policy)
-        return [(cube.id, s, pol) for cube, s, pol in adjusted]
-
-    def payload(self, frame: PointCloudFrame, by_id, cid: CubeId) -> CubePlaintext:
-        return serialize_cube(frame, by_id[cid])
+        if self.budget is None:
+            return triplets
+        return enforce_budget(triplets, self.budget, cfg=policy)[0]
 
 
 class _FramePlanner:
-    """One whole-frame unit per frame, at full-payload HIGH protection with
-    a fresh key every frame and no shaping."""
+    """One whole-frame cube per frame, at full-payload HIGH protection with
+    a fresh key every frame and no shaping. The cube is built afresh each
+    frame, so its payload is packed afresh too."""
 
     POLICY = ProtectionPolicy(ProtectionLevel.HIGH, 1, Scope.FULL_PAYLOAD, 0.0)
 
-    def plan(self, policy: PolicyConfig, scores, by_id) -> list[tuple[CubeId, float, ProtectionPolicy]]:
-        return [(UNIFORM_CUBE, 1.0, self.POLICY)]
-
-    def payload(self, frame: PointCloudFrame, by_id, cid: CubeId) -> CubePlaintext:
-        geo = np.ascontiguousarray(frame.positions, dtype="<f4").tobytes()
-        attrs = np.empty((frame.num_points, 4), dtype=np.uint8)
-        attrs[:, :3] = frame.colors
-        attrs[:, 3] = frame.sensitivity
-        return CubePlaintext(geo, attrs.tobytes())
+    def plan(
+        self, frame: PointCloudFrame, policy: PolicyConfig, scores, by_id
+    ) -> list[tuple[Cube, float, ProtectionPolicy]]:
+        return [(Cube(UNIFORM_CUBE, np.arange(frame.num_points)), 1.0, self.POLICY)]
 
 
 class _PlainCodec:
@@ -391,7 +386,7 @@ class Session:
         self.ring = KeyRing(self.root)
         self.registry = NonceRegistry()
         self.client = Client(self.root)
-        self.result = SessionResult(mode=cfg.mode, config=cfg)
+        self.result = SessionResult(config=cfg)
         adaptive = cfg.mode == "privis"
         if cfg.mode == "uniform":
             self.planner = _FramePlanner()
@@ -451,10 +446,10 @@ class Session:
         # iteration order of the `refresh` set, not in plan order; the
         # goldens' `trace` hash pins it.
         clock.switch("key_management")
-        plan = {cid: (s, pol) for cid, s, pol in planner.plan(self.policy, scores, by_id)}
+        plan = {cube.id: (cube, s, pol) for cube, s, pol in planner.plan(frame, self.policy, scores, by_id)}
         keys = {}
         refresh: set[CubeId] = set()
-        for cid, (_s, pol) in plan.items():
+        for cid, (_cube, _s, pol) in plan.items():
             keys[cid], rotated = codec.schedule(cid, i, pol, stable)
             if rotated or cid in rebuilt:
                 refresh.add(cid)
@@ -465,8 +460,8 @@ class Session:
         sendlist: list[tuple[Datagram, float]] = []
         shaped_units = bytes_sent = 0
         for cid in refresh:
-            s, pol = plan[cid]
-            plain = planner.payload(frame, by_id, cid)
+            cube, s, pol = plan[cid]
+            plain = serialize_cube(frame, cube)
             rng, pad = None, 0
             if self._shape and pol.shaping_strength > 0.0:
                 rng = flow_rng(cfg.shaping, cid, i)
@@ -531,7 +526,7 @@ class Session:
         total_s = time.perf_counter() - t_frame0 - net_cost_s
         # leakage samples of the open window, and adaptation when it closes
         if self._adapt:
-            samples = [(int(plan[cid][1].level), trace_features(trace)) for cid, trace in traces.items()]
+            samples = [(int(plan[cid][2].level), trace_features(trace)) for cid, trace in traces.items()]
             self._window.extend(samples)
             if cfg.keep_units:
                 result.mi_samples.extend(samples)
@@ -614,7 +609,7 @@ class ComparisonResult:
             )
 
 
-def compare_modes(base: RunConfig, modes: tuple[str, ...] = MODES) -> ComparisonResult:
+def compare_modes(base: RunConfig) -> ComparisonResult:
     """Run every mode on the same scene and seeds; check the latency
     ordering contract noenc <= privis <= uniform on mean totals.
 
@@ -626,22 +621,22 @@ def compare_modes(base: RunConfig, modes: tuple[str, ...] = MODES) -> Comparison
     import gc
 
     warm_scene = replace(base.scene, frame_count=min(3, base.scene.frame_count))
-    for mode in modes:
+    for mode in MODES:
         run_session(replace(base, mode=mode, scene=warm_scene))
 
-    sessions = {mode: Session(replace(base, mode=mode)) for mode in modes}
+    sessions = {mode: Session(replace(base, mode=mode)) for mode in MODES}
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
         for i in range(base.scene.frame_count):
-            for mode in modes:
+            for mode in MODES:
                 sessions[mode].step(i)
             gc.collect(0)
     finally:
         if gc_was_enabled:
             gc.enable()
         gc.collect()
-    results = {mode: sessions[mode].finalize() for mode in modes}
+    results = {mode: sessions[mode].finalize() for mode in MODES}
     noenc = results["noenc"].mean.total
     uniform = results["uniform"].mean.total
     privis = results["privis"].mean.total
@@ -656,7 +651,7 @@ def compare_modes(base: RunConfig, modes: tuple[str, ...] = MODES) -> Comparison
 
 def write_session_csvs(result: SessionResult, out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    mode = result.mode
+    mode = result.config.mode
     with open(os.path.join(out_dir, "frames.csv"), "a", newline="") as f:
         w = csv.DictWriter(f, fieldnames=list(result.frame_rows[0].keys()))
         if f.tell() == 0:

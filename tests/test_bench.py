@@ -1,5 +1,6 @@
 import csv
 import gc
+import hashlib
 import os
 import statistics
 import tracemalloc
@@ -194,11 +195,11 @@ def test_cli_comparison_exit_codes(capsys, monkeypatch, tmp_path):
 
     real = compare_modes(replace(small_cfg(), scene=replace(SMALL, frame_count=4)))
 
-    def fake_ok(base, modes=MODES):
+    def fake_ok(base):
         real.ordering_ok = True
         return real
 
-    def fake_bad(base, modes=MODES):
+    def fake_bad(base):
         real.ordering_ok = False
         return real
 
@@ -425,12 +426,14 @@ def _fresh_plaintext(frame, cube) -> CubePlaintext:
     return CubePlaintext(frame.positions[idx].astype("<f4").tobytes(), attrs.tobytes())
 
 
-def test_every_sent_plaintext_is_a_fresh_serialization(monkeypatch):
-    """A plaintext held on a kept Cube is sent as if serialized from the
-    frame it goes out in. Every frame recolors, relabels and nudges a few
-    points within their cells, so a held plaintext that outlived such an
-    edit would differ at the next refresh of its cube (the LOW cubes
-    rotate at frames 6 and 12)."""
+@pytest.mark.parametrize("mode", MODES)
+def test_every_sent_plaintext_is_a_fresh_serialization(mode, monkeypatch):
+    """Every mode packs each unit it sends with serialize_cube, and a
+    plaintext held on a kept Cube is sent as if serialized from the frame
+    it goes out in. Every frame recolors, relabels and nudges a few points
+    within their cells, so a held plaintext that outlived such an edit
+    would differ at the next refresh of its cube (under privis the LOW
+    cubes rotate at frames 6 and 12)."""
     frames = 13
 
     def edited_frame(scene, i):
@@ -454,10 +457,26 @@ def test_every_sent_plaintext_is_a_fresh_serialization(monkeypatch):
 
     monkeypatch.setattr(bench, "generate_frame", edited_frame)
     monkeypatch.setattr(bench, "serialize_cube", checked_serialize)
-    r = run_session(replace(small_cfg(), scene=replace(SMALL, frame_count=frames)))
-    assert len(sent) == sum(row["sent_units"] for row in r.frame_rows)
-    # the rotation frames resend kept cubes, from the plaintext they hold
-    assert all(row["rebuilt_cubes"] < row["sent_units"] for row in r.frame_rows[6::6])
+    r = run_session(replace(small_cfg(mode), scene=replace(SMALL, frame_count=frames)))
+    assert len(sent) == sum(row["sent_units"] for row in r.frame_rows) > 0
+    if mode == "privis":
+        # the rotation frames resend kept cubes, from the plaintext they hold
+        assert all(row["rebuilt_cubes"] < row["sent_units"] for row in r.frame_rows[6::6])
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_zero_point_scene_runs_in_every_mode(mode):
+    """A frame with no points has no cubes: noenc and privis send nothing,
+    while uniform still sends its one whole-frame unit, which verifies and
+    renders 0 points. Nothing is logged as a failure."""
+    scene = replace(default_scene(frames=4), points_per_frame=0)
+    r = run_session(RunConfig(mode=mode, scene=scene, root_key_hex=ROOT_HEX, content_digests=True))
+    counts = (0, 1, 1, 0, 0) if mode == "uniform" else (0, 0, 0, 0, 0)
+    cols = ("cubes", "sent_units", "admitted", "held", "dropped")
+    assert [tuple(row[c] for c in cols) for row in r.frame_rows] == [counts] * 4
+    assert all(row["point_total"] == 0 for row in r.frame_rows)
+    assert r.failure_log == []
+    assert set(r.content_digest_by_frame.values()) == {hashlib.sha256(b"").hexdigest()}
 
 
 def test_empty_frames_csv_gets_a_header(tmp_path):
