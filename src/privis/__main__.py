@@ -76,20 +76,24 @@ def main(argv: list[str] | None = None) -> int:
         p.error(str(e))
 
     if args.mode is not None:
-        result = run_session(cfg)
-        _print_breakdown({args.mode: result})
-        if args.out:
-            write_session_csvs(result, args.out)
-        return 0
-
-    comparison = compare_modes(cfg)
-    _print_breakdown(comparison.results)
-    print()
-    print(f"privis - noenc : {comparison.privis_minus_noenc:8.3f} ms")
-    print(f"uniform - noenc: {comparison.uniform_minus_noenc:8.3f} ms")
+        comparison = None
+        results = {args.mode: run_session(cfg)}
+    else:
+        comparison = compare_modes(cfg)
+        results = comparison.results
+    _print_breakdown(results)
+    if comparison is not None:
+        print()
+        print(f"privis - noenc : {comparison.privis_minus_noenc:8.3f} ms")
+        print(f"uniform - noenc: {comparison.uniform_minus_noenc:8.3f} ms")
     if args.out:
-        for result in comparison.results.values():
-            write_session_csvs(result, args.out)
+        try:
+            write_session_csvs(results.values(), args.out)
+        except ConfigError as e:
+            print(f"{p.prog}: error: {e}", file=sys.stderr)
+            return 2
+    if comparison is None:
+        return 0
     try:
         comparison.require_ordering()
     except OrderingError as e:

@@ -52,6 +52,7 @@ import csv
 import hashlib
 import os
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 from functools import partial
 
@@ -449,8 +450,10 @@ class Session:
         plan = {cube.id: (cube, s, pol) for cube, s, pol in planner.plan(frame, self.policy, scores, by_id)}
         keys = {}
         refresh: set[CubeId] = set()
+        rekeys = 0
         for cid, (_cube, _s, pol) in plan.items():
             keys[cid], rotated = codec.schedule(cid, i, pol, stable)
+            rekeys += rotated
             if rotated or cid in rebuilt:
                 refresh.add(cid)
 
@@ -550,6 +553,7 @@ class Session:
             "boundary_epoch": cubes.boundary_epoch,
             "changed_points": frame.num_points if changed is None else len(changed),
             "rebuilt_cubes": len(rebuilt),
+            "rekeys": rekeys,
             "shaped_cubes": shaped_units,
             "sent_units": len(refresh),
             "datagrams_sent": len(sendlist),
@@ -649,33 +653,50 @@ def compare_modes(base: RunConfig) -> ComparisonResult:
     )
 
 
-def write_session_csvs(result: SessionResult, out_dir: str) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    mode = result.config.mode
-    with open(os.path.join(out_dir, "frames.csv"), "a", newline="") as f:
-        w = csv.DictWriter(f, fieldnames=list(result.frame_rows[0].keys()))
-        if f.tell() == 0:
-            w.writeheader()
-        w.writerows(result.frame_rows)
-    with open(os.path.join(out_dir, "summary.csv"), "a", newline="") as f:
-        w = csv.writer(f)
-        if f.tell() == 0:
-            w.writerow(["mode", "frames", *(f"mean_{s}_ms" for s in _STAGES), "mean_total_ms"])
-        m = result.mean
-        w.writerow(
-            [mode, len(result.frame_rows)]
-            + [f"{getattr(m, s):.6f}" for s in _STAGES]
-            + [f"{m.total:.6f}"]
+def write_session_csvs(results: SessionResult | Iterable[SessionResult], out_dir: str) -> None:
+    """Append the rows of one session, or of several in order, to
+    frames.csv, summary.csv, leakage.csv (when a session closed leakage
+    windows) and failures.csv under ``out_dir``; a new or empty file gets
+    its header first. Every existing file's header is checked before
+    anything is written: one that differs from the rows' columns (a file
+    from another build) raises ConfigError naming the file, and no file
+    is written."""
+    if isinstance(results, SessionResult):
+        results = [results]
+    tables: dict[str, tuple[list[str], list[list]]] = {}  # file name -> (header, rows)
+
+    def add(name: str, header: list[str], rows) -> None:
+        tables.setdefault(name, (header, []))[1].extend(rows)
+
+    for result in results:
+        mode, m = result.config.mode, result.mean
+        header = list(result.frame_rows[0])
+        add("frames.csv", header, ([row[k] for k in header] for row in result.frame_rows))
+        add(
+            "summary.csv",
+            ["mode", "frames", *(f"mean_{s}_ms" for s in _STAGES), "mean_total_ms"],
+            [[mode, len(result.frame_rows), *(f"{getattr(m, s):.6f}" for s in (*_STAGES, "total"))]],
         )
-    if result.leakage_windows:
-        with open(os.path.join(out_dir, "leakage.csv"), "a", newline="") as f:
-            w = csv.DictWriter(f, fieldnames=list(result.leakage_windows[0].keys()))
+        if result.leakage_windows:
+            header = list(result.leakage_windows[0])
+            add("leakage.csv", header, ([w[k] for k in header] for w in result.leakage_windows))
+        add(
+            "failures.csv",
+            ["mode", "frame_id", "cube_ix", "cube_iy", "cube_iz", "reason", "time_ms"],
+            ([mode, frame_id, *cid, reason, t] for frame_id, cid, reason, t in result.failure_log),
+        )
+
+    os.makedirs(out_dir, exist_ok=True)
+    for name, (header, _rows) in tables.items():
+        path = os.path.join(out_dir, name)
+        if os.path.isfile(path) and os.path.getsize(path) > 0:
+            with open(path, newline="") as f:
+                found = next(csv.reader(f), [])
+            if found != header:
+                raise ConfigError(f"{path} has columns {found}, not {header}; write to a new directory")
+    for name, (header, rows) in tables.items():
+        with open(os.path.join(out_dir, name), "a", newline="") as f:
+            w = csv.writer(f)
             if f.tell() == 0:
-                w.writeheader()
-            w.writerows(result.leakage_windows)
-    with open(os.path.join(out_dir, "failures.csv"), "a", newline="") as f:
-        w = csv.writer(f)
-        if f.tell() == 0:
-            w.writerow(["mode", "frame_id", "cube_ix", "cube_iy", "cube_iz", "reason", "time_ms"])
-        for frame_id, cid, reason, t in result.failure_log:
-            w.writerow([mode, frame_id, cid[0], cid[1], cid[2], reason, t])
+                w.writerow(header)
+            w.writerows(rows)

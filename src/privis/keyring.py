@@ -14,8 +14,18 @@ Both sides derive keys independently from the shared root plus the sealed
 unit's header fields; no key material ever crosses the wire. Rotation
 happens when the policy interval elapses, when cube boundaries change
 (stability lost), or when a cube first appears. The key ring keeps one
-record per cube, its current KeyEpoch; the frame that epoch was derived at
-is the only rotation record.
+record per cube: its current KeyEpoch, whose ``derived_at_frame`` marks
+the rotation, and the frame its interval counts from.
+
+Cohorts: the rotations a new cube or lost stability forces in one frame
+would otherwise all fall due together, every interval after. So, among
+the forced rotations of one frame that share an interval, in call order,
+every second one starts a first epoch shortened by ``interval // 2``; the
+others, and every rotation the elapsed interval causes, get the full
+interval. At intervals 1/3/6, HIGH is unchanged, MED splits into two
+cohorts at offsets 0 and 1 (mod 3) and LOW at 0 and 3 (mod 6), until a
+re-partition splits them again. A lone newcomer keeps the full interval,
+and no epoch outlasts its interval.
 
 Note on forward secrecy: rotating HKDF outputs from a static root bounds
 key exposure windows but is not a ratchet; compromise of the root reveals
@@ -96,12 +106,16 @@ def derive_key(root: RootKey, cube_id: CubeId, epoch: int) -> bytes:
 @dataclass
 class KeyRing:
     """Per-session key table: each cube's current KeyEpoch, whose
-    ``derived_at_frame`` is the cube's rotation record. Single logical
-    writer per cube id; readers see the epoch recorded in each sealed
-    header, so there is no torn epoch/key pairing."""
+    ``derived_at_frame`` is the cube's rotation record, and the frame its
+    rotation interval counts from. Single logical writer per cube id;
+    readers see the epoch recorded in each sealed header, so there is no
+    torn epoch/key pairing."""
 
     root: RootKey
-    _table: dict[CubeId, KeyEpoch] = field(default_factory=dict)
+    _table: dict[CubeId, tuple[KeyEpoch, int]] = field(default_factory=dict)
+    # forced derivations so far in frame _forced_frame, per rotation interval
+    _forced_frame: int | None = None
+    _forced: dict[int, int] = field(default_factory=dict)
 
     @property
     def session_id(self) -> bytes:
@@ -119,14 +133,23 @@ class KeyRing:
         Rotates (epoch + 1, fresh derivation) when the rotation interval
         elapsed, stability was lost, or the cube is new; reuses otherwise.
         The returned key rotated this frame exactly when its
-        ``derived_at_frame`` equals ``frame_id``.
+        ``derived_at_frame`` equals ``frame_id``. Of the forced rotations
+        (new cube, lost stability) of one frame that share an interval,
+        every second one, in call order, starts an epoch shortened by
+        ``interval // 2``.
         """
-        current = self._table.get(cube_id)
-        if current is None:
-            epoch = 0
-        elif stable and frame_id - current.derived_at_frame < policy.key_rotation_interval:
+        interval = policy.key_rotation_interval
+        current, start = self._table.get(cube_id, (None, 0))
+        if current is not None and stable and frame_id - start < interval:
             return current
-        else:
-            epoch = current.epoch + 1
-        key = self._table[cube_id] = KeyEpoch(cube_id, epoch, derive_key(self.root, cube_id, epoch), frame_id)
+        epoch = 0 if current is None else current.epoch + 1
+        start = frame_id
+        if current is None or not stable:  # forced: count it in this frame's cohorts
+            if frame_id != self._forced_frame:
+                self._forced_frame, self._forced = frame_id, {}
+            n = self._forced.get(interval, 0)
+            self._forced[interval] = n + 1
+            start -= n % 2 * (interval // 2)
+        key = KeyEpoch(cube_id, epoch, derive_key(self.root, cube_id, epoch), frame_id)
+        self._table[cube_id] = (key, start)
         return key

@@ -47,6 +47,7 @@ NON_TIMING = [
     "boundary_epoch",
     "changed_points",
     "rebuilt_cubes",
+    "rekeys",
     "shaped_cubes",
     "sent_units",
     "datagrams_sent",
@@ -145,8 +146,10 @@ def test_privis_refresh_skips_static_low_cubes():
     # between rotation boundaries only the moving cluster is re-sent
     for row in r.frame_rows[1:6]:
         assert row["sent_units"] < row["cubes"]
-    # the interval-6 rotation at frame 6 refreshes every low cube too
-    assert r.frame_rows[6]["sent_units"] > r.frame_rows[5]["sent_units"]
+    # a LOW cohort's interval-6 rotation refreshes its cubes too (the
+    # second cohort's first epoch is shortened to 3 frames)
+    for i in (3, 6):
+        assert r.frame_rows[i]["sent_units"] > r.frame_rows[i - 1]["sent_units"]
 
 
 def test_csv_outputs(tmp_path):
@@ -167,6 +170,64 @@ def test_csv_outputs(tmp_path):
     leak = rows("leakage.csv")
     assert len(leak) == 2  # two 4-frame windows closed in 8 frames
     assert os.path.exists(os.path.join(out, "failures.csv"))
+
+
+@pytest.fixture(scope="module")
+def csv_sessions():
+    """A noenc session and a privis session with two closed leakage
+    windows, whose rows fill all four CSVs."""
+    return [
+        run_session(small_cfg("noenc")),
+        run_session(small_cfg("privis", leakage=replace(small_cfg().leakage, window_frames=4))),
+    ]
+
+
+@pytest.mark.parametrize("stale", ["frames.csv", "summary.csv", "leakage.csv", "failures.csv"])
+def test_csv_with_another_header_is_refused_before_any_write(stale, csv_sessions, tmp_path):
+    """Rows are appended only under their own columns: an existing CSV
+    whose header differs (a file from another build) raises ConfigError
+    naming it, and none of the four files is written or created."""
+    out = tmp_path / "out"
+    write_session_csvs(csv_sessions, str(out))
+    (out / stale).write_text("mode,frame,cubes\n")
+    (out / ("summary.csv" if stale == "failures.csv" else "failures.csv")).unlink()
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    with pytest.raises(ConfigError, match=stale):
+        write_session_csvs(csv_sessions, str(out))
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+
+def test_cli_refuses_a_csv_with_another_header(tmp_path, capsys):
+    """A frames.csv written by a build without the rekeys column is left as
+    it is, and the command exits with status 2 naming the file."""
+    out = tmp_path / "cli"
+    out.mkdir()
+    header = ",".join(col for col in NON_TIMING if col != "rekeys")
+    (out / "frames.csv").write_text(header + "\n")
+    rc = main(["--mode", "noenc", "--frames", "1", "--points", "1000", "--out", str(out), "--root-key", ROOT_HEX])
+    assert rc == 2
+    assert "frames.csv" in capsys.readouterr().err
+    assert [path.name for path in out.iterdir()] == ["frames.csv"]
+    assert (out / "frames.csv").read_text() == header + "\n"
+
+
+def test_rekeys_count_the_keys_the_sender_derived(monkeypatch):
+    """rekeys is the number of keys the sender derived in the frame: none
+    in noenc, the whole-frame key in uniform; in privis all 53 cubes at
+    frame 0, then the 13 HIGH cubes every frame and one of the two 20-cube
+    LOW cohorts at frames 3 and 6, never all 40 LOW cubes together."""
+    import privis.keyring as keyring
+
+    derived = []
+    derive = keyring.derive_key
+    monkeypatch.setattr(keyring, "derive_key", lambda *args: derived.append(args) or derive(*args))
+    want = {"noenc": [0] * 8, "uniform": [1] * 8, "privis": [53, 13, 13, 33, 13, 13, 33, 13]}
+    for mode, counts in want.items():
+        derived.clear()
+        rows = run_session(small_cfg(mode)).frame_rows
+        assert [row["rekeys"] for row in rows] == counts
+        assert len(derived) == sum(counts)
+        assert all(row["rekeys"] <= row["sent_units"] for row in rows)
 
 
 def test_cli_single_mode(tmp_path, capsys):

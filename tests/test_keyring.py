@@ -99,33 +99,128 @@ def test_instability_forces_rotation():
 
 
 def test_derived_at_frame_marks_exactly_the_rotations():
-    """derived_at_frame == frame_id exactly when the cube is new, its
-    interval has elapsed since its last rotation, or stability is lost,
-    checked against that rule over a random schedule in which cubes skip
-    frames and change level."""
+    """derived_at_frame == frame_id exactly when the cube is new, stability
+    is lost, or its interval has elapsed since the frame its epoch counts
+    from: the rotation frame, less interval // 2 when the rotation was the
+    second, fourth, ... forced one (new cube or lost stability) of its
+    interval in that frame, in call order. Checked against that rule over a
+    random schedule in which cubes skip frames and change level."""
     ring = KeyRing(RootKey.from_hex("88" * 32))
     rng = Mcg64(41)
-    last_rotation: dict[CubeId, int] = {}
+    start: dict[CubeId, int] = {}
     epochs: dict[CubeId, int] = {}
-    rotations = 0
+    rotations = shortened = 0
     for frame in range(300):
         stable = rng.next_uniform() >= 0.05
+        forced: dict[int, int] = {}  # forced rotations so far this frame, per interval
         for k in range(4):
             if rng.next_uniform() < 0.3:
                 continue  # cube absent this frame
             cube = CubeId(k, 0, 0)
             pol = (HIGH, MED, LOW)[rng.randint(0, 2)]
+            interval = pol.key_rotation_interval
             key = ring.key_for_frame(cube, frame, pol, stable)
-            prev = last_rotation.get(cube)
-            expected = prev is None or not stable or frame - prev >= pol.key_rotation_interval
+            is_forced = cube not in start or not stable
+            expected = is_forced or frame - start[cube] >= interval
             assert (key.derived_at_frame == frame) == expected
             if expected:
-                last_rotation[cube] = frame
+                start[cube] = frame
+                if is_forced:
+                    n = forced.get(interval, 0)
+                    forced[interval] = n + 1
+                    if n % 2 and interval > 1:
+                        start[cube] -= interval // 2
+                        shortened += 1
                 epochs[cube] = epochs.get(cube, -1) + 1
                 rotations += 1
             assert key.epoch == epochs[cube]
             assert key.key == derive_key(ring.root, cube, key.epoch)
     assert 0 < rotations < 4 * 300
+    assert shortened > 0
+
+
+def test_no_key_outlives_its_interval_and_a_lone_cube_keeps_the_full_interval():
+    """Over random schedules (cubes skip frames, change level, and lose
+    stability in 5% of frames): every key returned is younger than the
+    interval of the policy it seals under, and a new cube or lost stability
+    always rotates. A ring serving one cube, so that every forced rotation
+    is lone, follows the full-interval rule exactly."""
+    for seed in range(40):
+        rng = Mcg64(1000 + seed)
+        ring = KeyRing(RootKey.from_hex(f"{seed:02x}" * 32))
+        lone = KeyRing(RootKey.from_hex(f"{seed:02x}" * 32))
+        levels = {CubeId(k, -k, 2 * k): (HIGH, MED, LOW)[rng.randint(0, 2)] for k in range(1 + seed % 12)}
+        seen: set[CubeId] = set()
+        solo, solo_last = CubeId(-9, -9, -9), None
+        for frame in range(60):
+            stable = rng.next_uniform() >= 0.05
+            for cube in levels:
+                if rng.next_uniform() < 0.1:
+                    levels[cube] = (HIGH, MED, LOW)[rng.randint(0, 2)]
+                if rng.next_uniform() < 0.2:
+                    continue  # cube absent this frame
+                pol = levels[cube]
+                key = ring.key_for_frame(cube, frame, pol, stable)
+                assert frame - key.derived_at_frame < pol.key_rotation_interval
+                if cube not in seen or not stable:
+                    assert key.derived_at_frame == frame
+                seen.add(cube)
+            pol = levels[next(iter(levels))]
+            key = lone.key_for_frame(solo, frame, pol, stable)
+            rotated = solo_last is None or not stable or frame - solo_last >= pol.key_rotation_interval
+            assert (key.derived_at_frame == frame) == rotated
+            if rotated:
+                solo_last = frame
+
+
+def _first_rotations(ring, calls, frame, stable):
+    """Call ``calls`` ((cube, policy) in call order) at ``frame``, then at
+    every stable frame after it until each cube rotated once more; return
+    the frame of each cube's next rotation, in call order."""
+    for cube, pol in calls:
+        assert ring.key_for_frame(cube, frame, pol, stable).derived_at_frame == frame
+    due: dict[CubeId, int] = {}
+    for later in range(frame + 1, frame + 7):
+        for cube, pol in calls:
+            if ring.key_for_frame(cube, later, pol, stable=True).derived_at_frame == later:
+                due.setdefault(cube, later)
+    return [due[cube] for cube, _pol in calls]
+
+
+def test_forced_rotations_split_into_two_cohorts():
+    """The forced rotations of one frame that share an interval, new cubes
+    or all cubes after lost stability, alternate in call order between the
+    full interval and one shortened by interval // 2; so the two cohorts'
+    sizes differ by at most one. Random cube counts, levels and orders."""
+    for seed in range(40):
+        rng = Mcg64(2000 + seed)
+        ring = KeyRing(RootKey.from_hex(f"{seed:02x}" * 32))
+        calls = [(CubeId(k, 0, -k), (HIGH, MED, LOW)[rng.randint(0, 2)]) for k in range(rng.randint(1, 30))]
+        start = rng.randint(0, 100)
+        for frame, stable in ((start, True), (start + 6 + rng.randint(1, 5), False)):
+            calls.sort(key=lambda _call: rng.next_uniform())
+            due = _first_rotations(ring, calls, frame, stable)
+            for interval in (1, 3, 6):
+                got = [d - frame for (_cube, pol), d in zip(calls, due) if pol.key_rotation_interval == interval]
+                want = [interval - n % 2 * (interval // 2) for n in range(len(got))]
+                assert got == want
+                shortened = sum(g < interval for g in got)
+                if interval > 1:
+                    assert len(got) - 2 * shortened in (0, 1)
+
+
+def test_newcomer_burst_splits_into_two_cohorts():
+    """40 LOW cubes appearing at frame 0 rekey as two cohorts of 20, at
+    frames 3 and 9 and at frames 6 and 12, never all 40 together."""
+    ring = KeyRing(RootKey.from_hex("99" * 32))
+    cubes = [CubeId(k % 8, k // 8, 0) for k in range(40)]
+    rotations = []
+    for frame in range(13):
+        keys = [ring.key_for_frame(cube, frame, LOW, stable=True) for cube in cubes]
+        rotations.append(sum(key.derived_at_frame == frame for key in keys))
+    assert rotations[0] == 40
+    assert max(rotations[1:]) <= 20
+    assert rotations == [40, 0, 0, 20, 0, 0, 20, 0, 0, 20, 0, 0, 20]
 
 
 def test_reused_epoch_returns_identical_key_object_fields():

@@ -35,9 +35,10 @@ from privis.shaping import ShapingConfig
 ROOT_HEX = "5a" * 32
 FRAMES = 12
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "output_digests.json")
-# frame-row columns that count the work a frame skipped, added after the
-# digests were taken; tests/test_bench.py pins their values
-UNTRACED = ("changed_points", "rebuilt_cubes")
+# frame-row work counts added after the digests were taken (the work a
+# frame skipped, and the keys it derived); tests/test_bench.py pins their
+# values
+UNTRACED = ("changed_points", "rebuilt_cubes", "rekeys")
 
 
 def _config(case: str) -> RunConfig:
