@@ -457,11 +457,11 @@ class Session:
             if rotated or cid in rebuilt:
                 refresh.add(cid)
 
-        # sender, one refreshed unit at a time: payload, pad length (flows
-        # with sigma > 0), seal (framing, for plain units), packetize, shape
+        # sender: every refreshed unit's payload and pad length (flows with
+        # sigma > 0); then the frame's seals (framing, for plain units) in
+        # one run; then each unit is packetized and shaped
         clock.switch("transport_assembly")
-        sendlist: list[tuple[Datagram, float]] = []
-        shaped_units = bytes_sent = 0
+        outgoing = []
         for cid in refresh:
             cube, s, pol = plan[cid]
             plain = serialize_cube(frame, cube)
@@ -470,9 +470,13 @@ class Session:
                 rng = flow_rng(cfg.shaping, cid, i)
                 base = codec.overhead + len(plain.geometry) + len(plain.attributes)
                 pad = pad_length(base, pol.shaping_strength, cfg.shaping, rng) - base
-            clock.switch(codec.seal_stage)
-            unit = codec.encode(plain, keys[cid], pol, i, pad)
-            clock.switch("transport_assembly")
+            outgoing.append((cid, s, pol, plain, rng, pad))
+        clock.switch(codec.seal_stage)
+        units = [codec.encode(plain, keys[cid], pol, i, pad) for cid, _s, pol, plain, _rng, pad in outgoing]
+        clock.switch("transport_assembly")
+        sendlist: list[tuple[Datagram, float]] = []
+        shaped_units = bytes_sent = 0
+        for (cid, s, pol, _plain, rng, pad), unit in zip(outgoing, units):
             frags = packetize(unit, cid, i, cfg.net.mtu)
             bytes_sent += len(unit) + FRAG_HEADER_LEN * len(frags)
             times = [nominal_time] * len(frags)
@@ -653,16 +657,14 @@ def compare_modes(base: RunConfig) -> ComparisonResult:
     )
 
 
-def write_session_csvs(results: SessionResult | Iterable[SessionResult], out_dir: str) -> None:
-    """Append the rows of one session, or of several in order, to
+def write_session_csvs(results: Iterable[SessionResult], out_dir: str) -> None:
+    """Append the rows of each session, in order, to
     frames.csv, summary.csv, leakage.csv (when a session closed leakage
     windows) and failures.csv under ``out_dir``; a new or empty file gets
     its header first. Every existing file's header is checked before
     anything is written: one that differs from the rows' columns (a file
     from another build) raises ConfigError naming the file, and no file
     is written."""
-    if isinstance(results, SessionResult):
-        results = [results]
     tables: dict[str, tuple[list[str], list[list]]] = {}  # file name -> (header, rows)
 
     def add(name: str, header: list[str], rows) -> None:

@@ -23,7 +23,7 @@ the forced rotations of one frame that share an interval, in call order,
 every second one starts a first epoch shortened by ``interval // 2``; the
 others, and every rotation the elapsed interval causes, get the full
 interval. At intervals 1/3/6, HIGH is unchanged, MED splits into two
-cohorts at offsets 0 and 1 (mod 3) and LOW at 0 and 3 (mod 6), until a
+cohorts at offsets 0 and 2 (mod 3) and LOW at 0 and 3 (mod 6), until a
 re-partition splits them again. A lone newcomer keeps the full interval,
 and no epoch outlasts its interval.
 

@@ -155,7 +155,7 @@ def test_privis_refresh_skips_static_low_cubes():
 def test_csv_outputs(tmp_path):
     out = str(tmp_path / "out")
     r = run_session(small_cfg("privis", leakage=replace(small_cfg().leakage, window_frames=4)))
-    write_session_csvs(r, out)
+    write_session_csvs([r], out)
 
     def rows(name, reader=csv.DictReader):
         with open(os.path.join(out, name), newline="") as f:
@@ -547,7 +547,7 @@ def test_empty_frames_csv_gets_a_header(tmp_path):
     out.mkdir()
     (out / "frames.csv").touch()
     r = run_session(small_cfg("noenc"))
-    write_session_csvs(r, str(out))
+    write_session_csvs([r], str(out))
     with open(out / "frames.csv", newline="") as f:
         frames = list(csv.DictReader(f))
     assert len(frames) == SMALL.frame_count
