@@ -7,6 +7,7 @@ how the grid boundaries survive ordinary motion but not a scene change.
 """
 
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 
@@ -57,7 +58,6 @@ for frame in frames[1:]:
           f"-> boundary epoch {cur.boundary_epoch}")
 
 # a teleport-scale change forces new boundaries
-jumped = frames[-1]
-jumped.positions = jumped.positions + 10 * cur.grid_edge
+jumped = replace(frames[-1], positions=frames[-1].positions + 10 * cur.grid_edge)
 bumped = reuse_or_repartition(cur, jumped, PartitionConfig(64, 0.2))
 print(f"teleported frame: membership change 100% -> boundary epoch {bumped.boundary_epoch}")

@@ -15,6 +15,7 @@ from .bench import (
     MODES,
     RunConfig,
     SessionResult,
+    check_csv_headers,
     compare_modes,
     default_scene,
     run_session,
@@ -74,6 +75,12 @@ def main(argv: list[str] | None = None) -> int:
         cfg = _build_config(args, args.mode or "privis")
     except (ConfigError, ValidationError) as e:
         p.error(str(e))
+    if args.out:  # a CSV from another build is refused before the first frame
+        try:
+            check_csv_headers(args.out)
+        except ConfigError as e:
+            print(f"{p.prog}: error: {e}", file=sys.stderr)
+            return 2
 
     if args.mode is not None:
         comparison = None

@@ -18,8 +18,8 @@ switched on for privis alone.
 
 Per-frame stage accounting (wall time, monotonic clock):
 
-    saliency_grouping   change detection, partition/reuse, scoring, the
-                        set of rebuilt cubes
+    saliency_grouping   partition or grid reuse (with its change
+                        detection), scoring, the set of rebuilt cubes
     key_management      unit plan (policy assignment, budget pass), key
                         schedule
     encryption          seal_cube calls only
@@ -34,16 +34,16 @@ Per-frame stage accounting (wall time, monotonic clock):
 
 Refresh rule: a unit is sealed and sent again when its key rotated this
 frame or its cube is not the previous frame's object for that id
-(CubeSet.rebuilt_since: new, re-partitioned, or a cell a changed point
-left, entered or touched); otherwise the receiver keeps rendering its
-held-over verified copy. A frame with no changed point reuses the
-previous CubeSet whole, and a kept cube's payload is the plaintext
-serialize_cube already holds on it, so a rotation reseals unchanged
-content without packing it again; serialize_cube is still called once
-per sent unit. The client takes every datagram that arrives, since
-shaping already holds each within the motion-to-photon budget of its
-frame's send time. The emulated network runs on virtual time and is
-excluded from the latency accounting.
+(CubeSet.rebuilt_since); otherwise the receiver keeps rendering its
+held-over verified copy. Which cubes are kept is reuse_or_repartition's
+call alone: it keeps a cube when no point moved, recolored or relabeled
+since the previous CubeSet's frame left, entered or touched its cell. A
+kept cube's payload is the plaintext serialize_cube already holds on it,
+so a rotation reseals unchanged content without packing it again;
+serialize_cube is still called once per sent unit. The client takes
+every datagram that arrives, since shaping already holds each within the
+motion-to-photon budget of its frame's send time. The emulated network
+runs on virtual time and is excluded from the latency accounting.
 """
 
 from __future__ import annotations
@@ -109,6 +109,8 @@ __all__ = [
     "leakage_scene",
     "run_session",
     "compare_modes",
+    "CSV_COLUMNS",
+    "check_csv_headers",
     "write_session_csvs",
 ]
 
@@ -117,6 +119,22 @@ FRAME_INTERVAL_MS = 100.0 / 3.0  # nominal 30 fps send cadence
 UNIFORM_CUBE = CubeId(0, 0, 0)
 
 _STAGES = ("saliency_grouping", "key_management", "encryption", "decryption", "transport_assembly")
+
+# The columns of each CSV that write_session_csvs appends to, in file order:
+# frames.csv holds SessionResult.frame_rows, leakage.csv its leakage_windows.
+CSV_COLUMNS: dict[str, tuple[str, ...]] = {
+    "frames.csv": (
+        "mode", "frame", "cubes", "boundary_epoch", "changed_points", "rebuilt_cubes", "rekeys",
+        "shaped_cubes", "sent_units", "datagrams_sent", "bytes_sent", "admitted", "held", "dropped",
+        "point_total", "theta", *(f"{s}_ms" for s in _STAGES), "total_ms",
+    ),
+    "summary.csv": ("mode", "frames", *(f"mean_{s}_ms" for s in _STAGES), "mean_total_ms"),
+    "leakage.csv": (
+        "window_end_frame", "samples", "mi_bits", *(f"mi_{name}" for name in FEATURE_NAMES),
+        "epsilon", "violated", "theta_after",
+    ),
+    "failures.csv": ("mode", "frame_id", "cube_ix", "cube_iy", "cube_iz", "reason", "time_ms"),
+}
 
 
 def default_scene(seed: int = 7, frames: int = 60, points: int = 80_000) -> SceneSpec:
@@ -256,27 +274,6 @@ def _content_digest(plaintexts: dict[CubeId, CubePlaintext]) -> str:
     return hashlib.sha256(allrows[order].tobytes()).hexdigest()
 
 
-def _changed_points(frame: PointCloudFrame, prev: PointCloudFrame | None) -> np.ndarray | None:
-    """Ascending indices of the points moved, recolored or relabeled since
-    the previous frame; None means everything counts as changed (first
-    frame or point-count change). One flat ``!=`` per array, whose hits
-    divide down to rows: the same bits as comparing column by column, so
-    -0.0 against 0.0 is no change, and a static frame yields no index."""
-    if prev is None or prev.num_points != frame.num_points:
-        return None
-    hits = [
-        np.flatnonzero(frame.positions != prev.positions) // 3,
-        np.flatnonzero(frame.colors != prev.colors) // 3,
-        np.flatnonzero(frame.sensitivity != prev.sensitivity),
-    ]
-    rows = np.concatenate(hits)
-    rows.sort(kind="stable")  # ascending runs: merged, not sorted afresh
-    first = np.empty(len(rows), dtype=bool)
-    first[:1] = True
-    np.not_equal(rows[1:], rows[:-1], out=first[1:])
-    return rows[first]
-
-
 @dataclass(frozen=True)
 class _CubePlanner:
     """One unit per cube, in score order, with the policy its score earns
@@ -403,7 +400,6 @@ class Session:
         # adaptation moves theta, so its level table is built once per theta
         self.policy = cfg.policy
         self.prev_cubes: CubeSet | None = None
-        self.prev_frame: PointCloudFrame | None = None
         self._window: list[tuple[int, tuple[float, float, float]]] = []  # open leakage window's samples
 
     def run(self) -> SessionResult:
@@ -429,14 +425,12 @@ class Session:
         t_frame0 = time.perf_counter()
         nominal_time = i * FRAME_INTERVAL_MS
 
-        # grouping and scoring (all modes, identical work); the changed
-        # points tell the grid reuse which points need locating again
+        # grouping and scoring (all modes, identical work)
         clock.switch("saliency_grouping")
-        changed = _changed_points(frame, self.prev_frame)
         if prev_cubes is None:
             cubes = partition_frame(frame, cfg.partition.target_cubes)
         else:
-            cubes = reuse_or_repartition(prev_cubes, frame, cfg.partition, changed)
+            cubes = reuse_or_repartition(prev_cubes, frame, cfg.partition)
         scores = score_cubes(cubes, frame, prev_cubes, cfg.saliency)
         rebuilt = cubes.rebuilt_since(prev_cubes)
         by_id = cubes.by_id()
@@ -555,7 +549,7 @@ class Session:
             "frame": i,
             "cubes": len(cubes.cubes),
             "boundary_epoch": cubes.boundary_epoch,
-            "changed_points": frame.num_points if changed is None else len(changed),
+            "changed_points": cubes.changed_points,
             "rebuilt_cubes": len(rebuilt),
             "rekeys": rekeys,
             "shaped_cubes": shaped_units,
@@ -573,7 +567,7 @@ class Session:
         row["total_ms"] = total_s * 1e3
         result.frame_rows.append(row)
 
-        self.prev_cubes, self.prev_frame = cubes, frame
+        self.prev_cubes = cubes
 
 
 def run_session(cfg: RunConfig) -> SessionResult:
@@ -657,48 +651,43 @@ def compare_modes(base: RunConfig) -> ComparisonResult:
     )
 
 
-def write_session_csvs(results: Iterable[SessionResult], out_dir: str) -> None:
-    """Append the rows of each session, in order, to
-    frames.csv, summary.csv, leakage.csv (when a session closed leakage
-    windows) and failures.csv under ``out_dir``; a new or empty file gets
-    its header first. Every existing file's header is checked before
-    anything is written: one that differs from the rows' columns (a file
-    from another build) raises ConfigError naming the file, and no file
-    is written."""
-    tables: dict[str, tuple[list[str], list[list]]] = {}  # file name -> (header, rows)
-
-    def add(name: str, header: list[str], rows) -> None:
-        tables.setdefault(name, (header, []))[1].extend(rows)
-
-    for result in results:
-        mode, m = result.config.mode, result.mean
-        header = list(result.frame_rows[0])
-        add("frames.csv", header, ([row[k] for k in header] for row in result.frame_rows))
-        add(
-            "summary.csv",
-            ["mode", "frames", *(f"mean_{s}_ms" for s in _STAGES), "mean_total_ms"],
-            [[mode, len(result.frame_rows), *(f"{getattr(m, s):.6f}" for s in (*_STAGES, "total"))]],
-        )
-        if result.leakage_windows:
-            header = list(result.leakage_windows[0])
-            add("leakage.csv", header, ([w[k] for k in header] for w in result.leakage_windows))
-        add(
-            "failures.csv",
-            ["mode", "frame_id", "cube_ix", "cube_iy", "cube_iz", "reason", "time_ms"],
-            ([mode, frame_id, *cid, reason, t] for frame_id, cid, reason, t in result.failure_log),
-        )
-
-    os.makedirs(out_dir, exist_ok=True)
-    for name, (header, _rows) in tables.items():
+def check_csv_headers(out_dir: str) -> None:
+    """Raise ConfigError naming the first CSV under ``out_dir`` that is not
+    empty and whose header is not its CSV_COLUMNS (a file from another
+    build). Missing and empty files pass."""
+    for name, columns in CSV_COLUMNS.items():
         path = os.path.join(out_dir, name)
         if os.path.isfile(path) and os.path.getsize(path) > 0:
             with open(path, newline="") as f:
                 found = next(csv.reader(f), [])
-            if found != header:
-                raise ConfigError(f"{path} has columns {found}, not {header}; write to a new directory")
-    for name, (header, rows) in tables.items():
+            if found != list(columns):
+                raise ConfigError(f"{path} has columns {found}, not {list(columns)}; write to a new directory")
+
+
+def write_session_csvs(results: Iterable[SessionResult], out_dir: str) -> None:
+    """Append the rows of each session, in order, to
+    frames.csv, summary.csv, leakage.csv (when a session closed leakage
+    windows) and failures.csv under ``out_dir``, under their CSV_COLUMNS;
+    a new or empty file gets its header first. check_csv_headers runs
+    before anything is written, so a file from another build raises
+    ConfigError and no file is written."""
+    rows: dict[str, list[list]] = {name: [] for name in CSV_COLUMNS}
+    for result in results:
+        mode, m = result.config.mode, result.mean
+        rows["frames.csv"] += ([row[k] for k in CSV_COLUMNS["frames.csv"]] for row in result.frame_rows)
+        rows["summary.csv"].append(
+            [mode, len(result.frame_rows), *(f"{getattr(m, s):.6f}" for s in (*_STAGES, "total"))]
+        )
+        rows["leakage.csv"] += ([w[k] for k in CSV_COLUMNS["leakage.csv"]] for w in result.leakage_windows)
+        rows["failures.csv"] += ([mode, f, *cid, reason, t] for f, cid, reason, t in result.failure_log)
+
+    os.makedirs(out_dir, exist_ok=True)
+    check_csv_headers(out_dir)
+    for name, table in rows.items():
+        if name == "leakage.csv" and not table:
+            continue  # no session closed a leakage window
         with open(os.path.join(out_dir, name), "a", newline="") as f:
             w = csv.writer(f)
             if f.tell() == 0:
-                w.writerow(header)
-            w.writerows(rows)
+                w.writerow(CSV_COLUMNS[name])
+            w.writerows(table)

@@ -86,15 +86,25 @@ class CubeSet:
     The per-point cell record is ``point_keys``, one packed int64 key per
     point (see _pack_cells). Every grid partition_frame picks packs, and
     reuse re-partitions rather than keep a cell that does not.
+
+    ``frame`` is the frame the cubes were built from: the next
+    reuse_or_repartition compares with it, so it is not mutated either.
+    ``changed_points`` counts the points that differ from the previous
+    CubeSet's frame, every point when there is none or the count changed.
     """
 
-    frame_id: int
+    frame: PointCloudFrame
     cubes: list[Cube]
     boundary_epoch: int
     grid_edge: float
     grid_origin: np.ndarray  # (3,)
     point_keys: np.ndarray  # (N,) packed cell per point
     columns: CubeColumns
+    changed_points: int
+
+    @property
+    def frame_id(self) -> int:
+        return self.frame.frame_id
 
     def by_id(self) -> dict[CubeId, Cube]:
         return {c.id: c for c in self.cubes}
@@ -103,6 +113,8 @@ class CubeSet:
         """Ids of the cubes that are not ``prev``'s object for their id: all
         of them with no ``prev``, after a re-partition or a point-count
         change, else the cells a changed point left, entered or touched."""
+        if prev is not None and self.cubes is prev.cubes:
+            return set()  # reuse kept the whole list
         before = {} if prev is None else prev.by_id()
         return {c.id for c in self.cubes if before.get(c.id) is not c}
 
@@ -147,12 +159,12 @@ def _unpack_keys(keys: np.ndarray) -> np.ndarray:
     return np.stack([keys >> 42, (keys >> 21) & axis_mask, keys & axis_mask], axis=1) - _PACK_BIAS
 
 
-def _distinct(keys: np.ndarray) -> np.ndarray:
-    """Sorted distinct values of a 1-D array: one sort and a neighbour
-    compare. numpy's own unique gives the same values, but numpy 2.3+
-    routes it through a hash table that is several times slower on int64
-    keys."""
-    ordered = np.sort(keys)
+def _distinct(keys: np.ndarray, kind: str = "quicksort") -> np.ndarray:
+    """Sorted distinct values of a 1-D array: one sort of ``kind`` and a
+    neighbour compare. numpy's own unique gives the same values, but numpy
+    2.3+ routes it through a hash table that is several times slower on
+    int64 keys."""
+    ordered = np.sort(keys, kind=kind)
     first = np.empty(len(ordered), dtype=bool)
     first[:1] = True
     np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
@@ -204,13 +216,13 @@ def _cube_set(
     frame: PointCloudFrame, boundary_epoch: int, edge: float, origin: np.ndarray, keys: np.ndarray
 ) -> CubeSet:
     cubes, columns = _build_cubes(frame, keys)
-    return CubeSet(frame.frame_id, cubes, boundary_epoch, edge, origin, keys, columns)
+    return CubeSet(frame, cubes, boundary_epoch, edge, origin, keys, columns, frame.num_points)
 
 
-def _empty(frame_id: int, boundary_epoch: int, edge: float, origin: np.ndarray) -> CubeSet:
+def _empty(frame: PointCloudFrame, boundary_epoch: int, edge: float, origin: np.ndarray) -> CubeSet:
     empty = np.empty(0, dtype=np.int64)
     columns = CubeColumns(empty, empty, np.empty((0, 3)), empty)
-    return CubeSet(frame_id, [], boundary_epoch, edge, origin, empty, columns)
+    return CubeSet(frame, [], boundary_epoch, edge, origin, empty, columns, 0)
 
 
 def partition_frame(
@@ -229,7 +241,7 @@ def partition_frame(
     if target_cubes < 1:
         raise ValidationError("target_cubes must be >= 1")
     if frame.num_points == 0:
-        return _empty(frame.frame_id, boundary_epoch, 1.0, np.zeros(3))
+        return _empty(frame, boundary_epoch, 1.0, np.zeros(3))
 
     origin = frame.positions.min(axis=0)
     extent = float((frame.positions.max(axis=0) - origin).max())
@@ -302,11 +314,24 @@ def _regroup(
     return [pool[j] for j in order.tolist()], columns
 
 
+def _changed_points(frame: PointCloudFrame, prev: PointCloudFrame) -> np.ndarray | None:
+    """Ascending indices of the points moved, recolored or relabeled since
+    ``prev``, None for a point-count change. One flat ``!=`` per array, its
+    hits divided down to rows, so -0.0 against 0.0 is no change."""
+    if prev.num_points != frame.num_points:
+        return None
+    hits = [
+        np.flatnonzero(frame.positions != prev.positions) // 3,
+        np.flatnonzero(frame.colors != prev.colors) // 3,
+        np.flatnonzero(frame.sensitivity != prev.sensitivity),
+    ]
+    return _distinct(np.concatenate(hits), kind="stable")  # merges the ascending runs
+
+
 def reuse_or_repartition(
     prev: CubeSet,
     frame: PointCloudFrame,
     cfg: PartitionConfig = PartitionConfig(),
-    changed: np.ndarray | None = None,
 ) -> CubeSet:
     """Keep the previous grid when the scene is stable, else re-partition.
 
@@ -316,41 +341,34 @@ def reuse_or_repartition(
     A point whose cell under the previous grid does not pack into a key
     always re-partitions the frame.
 
-    ``changed`` holds the indices of at least every point whose position,
-    color or label differs from the frame ``prev`` was built from; None
-    marks every point. Unmarked points keep their cell under a reused grid,
-    so only the marked ones are located again, and only the cubes whose
-    cells a marked point left, entered or touched are grouped again; the
-    others are ``prev``'s Cube objects. With no point marked, the result
-    shares ``prev``'s cubes, columns and ``point_keys`` outright. Either way
-    it is the same CubeSet, to the bit, as with every point marked.
-
-    A cube that is still ``prev``'s object (CubeSet.rebuilt_since) thus
-    holds the content it held before: its row of the columns and the
-    plaintext serialize_cube holds on it stay right. Indices that leave out
-    a recolored or relabeled point keep that cube's stale count and bytes.
+    The changed points are those whose position, color or label differs
+    from ``prev.frame``. Under a reused grid only they are located again,
+    and only the cubes whose cells a changed point left, entered or touched
+    are grouped again; every other cube is ``prev``'s object, so its row of
+    the columns and the plaintext serialize_cube holds on it stay right
+    (CubeSet.rebuilt_since names the others). With no changed point the
+    result shares ``prev``'s cubes, columns and ``point_keys`` outright.
+    Either way it is the same CubeSet, to the bit, as grouping every point
+    of the frame under ``prev``'s grid.
     """
     n = frame.num_points
     origin, edge = prev.grid_origin, prev.grid_edge
     if n == 0:
-        return _empty(frame.frame_id, prev.boundary_epoch, edge, origin)
-    resized = n != len(prev.point_keys)
-    if changed is not None and not resized and not len(changed):
-        return replace(prev, frame_id=frame.frame_id)
-    idx = np.arange(n) if changed is None or resized else changed
-    located = _pack_cells(_cells_for(np.take(frame.positions, idx, axis=0), origin, edge))
-    if located is None:
-        fraction = np.inf
-    elif resized:
-        fraction = 1.0
-    else:
-        before = np.take(prev.point_keys, idx)
-        fraction = np.count_nonzero(located != before) / n
-    if fraction > cfg.change_threshold:
-        return partition_frame(frame, cfg.target_cubes, boundary_epoch=prev.boundary_epoch + 1)
-    if resized:
-        return _cube_set(frame, prev.boundary_epoch, edge, origin, located)
+        return _empty(frame, prev.boundary_epoch, edge, origin)
+    changed = _changed_points(frame, prev.frame)
+    if changed is None:  # a point-count change: a change fraction of 1.0
+        keys = _pack_cells(_cells_for(frame.positions, origin, edge))
+        if keys is None or 1.0 > cfg.change_threshold:
+            return partition_frame(frame, cfg.target_cubes, boundary_epoch=prev.boundary_epoch + 1)
+        return _cube_set(frame, prev.boundary_epoch, edge, origin, keys)
+    if not len(changed):
+        return replace(prev, frame=frame, changed_points=0)
+    located = _pack_cells(_cells_for(np.take(frame.positions, changed, axis=0), origin, edge))
+    before = np.take(prev.point_keys, changed)
+    if located is None or np.count_nonzero(located != before) / n > cfg.change_threshold:
+        cubes = partition_frame(frame, cfg.target_cubes, boundary_epoch=prev.boundary_epoch + 1)
+        return replace(cubes, changed_points=len(changed))
     keys = prev.point_keys.copy()
-    keys[idx] = located
+    keys[changed] = located
     cubes, columns = _regroup(prev, frame, keys, np.concatenate([before, located]))
-    return CubeSet(frame.frame_id, cubes, prev.boundary_epoch, edge, origin, keys, columns)
+    return CubeSet(frame, cubes, prev.boundary_epoch, edge, origin, keys, columns, len(changed))

@@ -82,6 +82,29 @@ def _clamp01(x: np.ndarray) -> np.ndarray:
     return np.where(x < 1.0, x, 1.0)
 
 
+def _motion(cubes: CubeSet, prev_cubes: CubeSet | None, cfg: SaliencyConfig) -> np.ndarray:
+    """Per-cube motion cue: the distance to the nearest previous centroid,
+    if within two grid edges, over motion_scale and capped at 1; else 0.
+
+    A cube that reuse kept is ``prev_cubes``' object with its centroid row
+    unchanged: its nearest previous centroid is itself, at distance 0, so
+    only the rows of rebuilt cubes (CubeSet.rebuilt_since) are matched.
+    """
+    motion = np.zeros(len(cubes.cubes))
+    rebuilt = cubes.rebuilt_since(prev_cubes)
+    if prev_cubes is None or not prev_cubes.cubes or not rebuilt:
+        return motion
+    rows = np.array([j for j, cube in enumerate(cubes.cubes) if cube.id in rebuilt], dtype=np.intp)
+    centroids, prev_centroids = cubes.columns.centroids[rows], prev_cubes.columns.centroids
+    d2 = np.sum((prev_centroids[None, :, :] - centroids[:, None, :]) ** 2, axis=2)
+    best = np.argmin(d2, axis=1)
+    radius = 2.0 * cubes.grid_edge
+    matched = np.take_along_axis(d2, best[:, None], axis=1)[:, 0] < radius * radius
+    disp = _row_norms(centroids[matched] - prev_centroids[best[matched]])
+    motion[rows[matched]] = np.minimum(disp / cfg.motion_scale, 1.0)
+    return motion
+
+
 def score_cubes(
     cubes: CubeSet,
     frame: PointCloudFrame,
@@ -104,17 +127,7 @@ def score_cubes(
     if not counts.all():
         raise ValidationError("saliency of an empty cube")
 
-    motion = np.zeros(len(counts))
-    # columns that reuse carried over whole match every centroid to itself,
-    # at distance 0: no motion
-    if prev_cubes is not None and prev_cubes.cubes and prev_cubes.columns is not cubes.columns:
-        prev_centroids = prev_cubes.columns.centroids
-        d2 = np.sum((prev_centroids[None, :, :] - centroids[:, None, :]) ** 2, axis=2)
-        best = np.argmin(d2, axis=1)
-        radius = 2.0 * cubes.grid_edge
-        matched = np.take_along_axis(d2, best[:, None], axis=1)[:, 0] < radius * radius
-        disp = _row_norms(centroids[matched] - prev_centroids[best[matched]])
-        motion[matched] = np.minimum(disp / cfg.motion_scale, 1.0)
+    motion = _motion(cubes, prev_cubes, cfg)
     density = counts / counts.max()
     view = 1.0 / (1.0 + _row_norms(centroids - frame.viewpoint) / cfg.proximity_scale)
     phi_p = _clamp01(cfg.w_density * density + cfg.w_motion * motion + cfg.w_view * view)

@@ -223,9 +223,9 @@ class NonceRegistry:
 def serialize_cube(frame: PointCloudFrame, cube: Cube) -> CubePlaintext:
     """Pack a cube's points into wire plaintext sections, once per Cube:
     the result is held on the cube and returned by every later call. A
-    Cube outlives its frame only while no changed point left, entered or
-    touched its cell (see reuse_or_repartition), so the held bytes are the
-    ones ``frame`` would give.
+    Cube outlives its frame only where reuse_or_repartition keeps it: no
+    point moved, recolored or relabeled since its CubeSet's frame left,
+    entered or touched its cell, so the held bytes are ``frame``'s.
 
     ``take`` gathers the same rows as fancy indexing, several times faster
     on (N, 3); the array method skips the ``np.take`` wrapper, about 0.5 us

@@ -11,6 +11,7 @@ import pytest
 
 import privis.bench as bench
 from privis.bench import (
+    CSV_COLUMNS,
     MODES,
     RunConfig,
     Session,
@@ -161,6 +162,10 @@ def test_csv_outputs(tmp_path):
         with open(os.path.join(out, name), newline="") as f:
             return list(reader(f))
 
+    for name in ("frames.csv", "summary.csv", "leakage.csv", "failures.csv"):
+        assert rows(name, csv.reader)[0] == list(CSV_COLUMNS[name])
+    assert all(list(row) == list(CSV_COLUMNS["frames.csv"]) for row in r.frame_rows)
+    assert all(list(w) == list(CSV_COLUMNS["leakage.csv"]) for w in r.leakage_windows)
     frames = rows("frames.csv")
     assert len(frames) == SMALL.frame_count
     assert set(NON_TIMING) <= set(frames[0].keys())
@@ -197,15 +202,20 @@ def test_csv_with_another_header_is_refused_before_any_write(stale, csv_sessions
     assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
 
-def test_cli_refuses_a_csv_with_another_header(tmp_path, capsys):
+def test_cli_refuses_a_csv_with_another_header(tmp_path, capsys, monkeypatch):
     """A frames.csv written by a build without the rekeys column is left as
-    it is, and the command exits with status 2 naming the file."""
+    it is, and the command exits with status 2 naming the file before it
+    runs a single frame."""
     out = tmp_path / "cli"
     out.mkdir()
     header = ",".join(col for col in NON_TIMING if col != "rekeys")
     (out / "frames.csv").write_text(header + "\n")
+    steps = []
+    step = Session.step
+    monkeypatch.setattr(Session, "step", lambda self, i: steps.append(i) or step(self, i))
     rc = main(["--mode", "noenc", "--frames", "1", "--points", "1000", "--out", str(out), "--root-key", ROOT_HEX])
     assert rc == 2
+    assert steps == []
     assert "frames.csv" in capsys.readouterr().err
     assert [path.name for path in out.iterdir()] == ["frames.csv"]
     assert (out / "frames.csv").read_text() == header + "\n"

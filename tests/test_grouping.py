@@ -1,11 +1,12 @@
 """The one-pass grouping stage against the plain per-point, per-cube path.
 
-Grid reuse with the changed-point indices must give the same CubeSet as
-locating every point again, while keeping the previous Cube object for
-every cell that no changed point left, entered or touched; and the array
-form of score_cubes must give the same scores, to the bit, as
-perceptual_saliency and privacy_saliency applied cube by cube. Both run over moving, churning and static scenes,
-through reused and re-partitioned grids and a point-count change.
+Grid reuse finds the changed points itself and must give the same CubeSet
+as grouping every point again under the previous grid, while keeping the
+previous Cube object for every cell that no changed point left, entered or
+touched; and the array form of score_cubes must give the same scores, to
+the bit, as perceptual_saliency and privacy_saliency applied cube by cube.
+Both run over moving, churning and static scenes, through reused and
+re-partitioned grids and a point-count change.
 """
 
 from dataclasses import astuple, replace
@@ -13,14 +14,17 @@ from dataclasses import astuple, replace
 import numpy as np
 import pytest
 
-from privis.bench import _changed_points, default_scene, leakage_scene
+from privis.bench import default_scene, leakage_scene
 from privis.frame_io import PointCloudFrame, generate_frame
 from privis.partition import (
     CubeId,
     PartitionConfig,
     _cells_for,
+    _changed_points,
     _count_nonempty,
+    _cube_set,
     _distinct,
+    _pack_cells,
     _unpack_keys,
     membership_change_fraction,
     partition_frame,
@@ -63,18 +67,29 @@ def _cube_ids_of(cubes, points):
 
 
 def _grouped(frames, cfg=PartitionConfig()):
-    """(cubes, previous cubes, frame) per frame, the grid reused with the
-    changed points."""
+    """(cubes, previous cubes, frame) per frame, the grid reused from frame
+    1 on."""
     out = []
-    prev = prev_frame = None
+    prev = None
     for frame in frames:
         if prev is None:
             cubes = partition_frame(frame, cfg.target_cubes)
         else:
-            cubes = reuse_or_repartition(prev, frame, cfg, _changed_points(frame, prev_frame))
+            cubes = reuse_or_repartition(prev, frame, cfg)
         out.append((cubes, prev, frame))
-        prev, prev_frame = cubes, frame
+        prev = cubes
     return out
+
+
+def _full_regroup(prev, frame, cfg=PartitionConfig()):
+    """The CubeSet reuse must equal, without change detection: a
+    re-partition when membership_change_fraction exceeds the threshold or a
+    cell does not pack, else every point's key under ``prev``'s grid,
+    grouped afresh."""
+    keys = _pack_cells(_cells_for(frame.positions, prev.grid_origin, prev.grid_edge))
+    if keys is None or membership_change_fraction(prev, frame) > cfg.change_threshold:
+        return partition_frame(frame, cfg.target_cubes, boundary_epoch=prev.boundary_epoch + 1)
+    return _cube_set(frame, prev.boundary_epoch, prev.grid_edge, prev.grid_origin, keys)
 
 
 def _assert_same_cube_set(a, b, frame):
@@ -106,7 +121,7 @@ def test_masked_reuse_matches_full_relocation(frames, threshold):
     cfg = PartitionConfig(change_threshold=threshold)
     epochs = []
     for cubes, prev, frame in _grouped(frames, cfg)[1:]:
-        _assert_same_cube_set(cubes, reuse_or_repartition(prev, frame, cfg), frame)
+        _assert_same_cube_set(cubes, _full_regroup(prev, frame, cfg), frame)
         epochs.append(cubes.boundary_epoch)
     if threshold == 1.0 or name in ("orbit", "static"):
         assert epochs == [0] * len(epochs)
@@ -123,23 +138,20 @@ def _touched(cubes, prev, changed):
 
 def test_reuse_rebuilds_exactly_the_touched_cells(frames):
     """rebuilt_since names the touched cells under a reused grid, and every
-    cube at frame 0, after a re-partition and after a point-count change."""
+    cube at frame 0, after a re-partition and after a point-count change;
+    changed_points counts the changed points, or every point with no
+    previous frame of the same size."""
     name, frames = frames
     reused = 0
-    prev_frame = None
     for cubes, prev, frame in _grouped(frames):
         ids = {c.id for c in cubes.cubes}
-        if (
-            prev is not None
-            and cubes.boundary_epoch == prev.boundary_epoch
-            and frame.num_points == prev_frame.num_points
-        ):
-            touched = _touched(cubes, prev, _changed_points(frame, prev_frame))
-            assert cubes.rebuilt_since(prev) == touched & ids
+        changed = None if prev is None else _changed_points(frame, prev.frame)
+        assert cubes.changed_points == (frame.num_points if changed is None else len(changed))
+        if changed is not None and cubes.boundary_epoch == prev.boundary_epoch:
+            assert cubes.rebuilt_since(prev) == _touched(cubes, prev, changed) & ids
             reused += 1
         else:
             assert cubes.rebuilt_since(prev) == ids
-        prev_frame = frame
     assert reused == {"orbit": 11, "churn": 0, "static": 11, "resized": 10}[name]
 
 
@@ -161,20 +173,27 @@ def test_orbit_spill_rebuilds_cells_points_enter_and_leave():
         }
         assert shared, f"frame {i}: no cell holds both moved and unmoved points"
         assert shared <= cubes.rebuilt_since(prev)
-        _assert_same_cube_set(cubes, reuse_or_repartition(prev, frame), frame)
+        _assert_same_cube_set(cubes, _full_regroup(prev, frame), frame)
 
 
 def test_recolor_only_change_rebuilds_its_cube():
+    """One recolored point: reuse, given nothing but the two CubeSets'
+    frames, rebuilds that point's cube alone, whose payload then carries
+    the new color, and keeps every other Cube object of ``prev``."""
     frames = SCENES["static"]()[:2]
     prev = partition_frame(frames[0])
     colors = frames[0].colors.copy()
     colors[123] ^= 1
     frame = replace(frames[0], frame_id=1, colors=colors)
-    changed = _changed_points(frame, frames[0])
-    assert changed.tolist() == [123]
-    cubes = reuse_or_repartition(prev, frame, PartitionConfig(), changed)
-    assert cubes.rebuilt_since(prev) == _cube_ids_of(prev, np.array([123]))
-    _assert_same_cube_set(cubes, reuse_or_repartition(prev, frame), frame)
+    cubes = reuse_or_repartition(prev, frame)
+    (cid,) = _cube_ids_of(prev, np.array([123]))
+    assert cubes.rebuilt_since(prev) == {cid}
+    before = prev.by_id()
+    assert all(cube is before[cube.id] for cube in cubes.cubes if cube.id != cid)
+    assert cubes.changed_points == 1
+    rebuilt = cubes.by_id()[cid]
+    assert serialize_cube(frame, rebuilt).attributes != serialize_cube(frames[0], before[cid]).attributes
+    _assert_same_cube_set(cubes, _full_regroup(prev, frame), frame)
 
 
 def _far_apart_frame(frame_id):
@@ -206,19 +225,19 @@ def test_far_apart_frame_packs_and_a_jump_beyond_the_grid_repartitions():
     assert _unpack_keys(prev.point_keys).tobytes() == cells.tobytes()
     moved = _far_apart_frame(1)
     moved.positions[5, 0] += 0.5  # stays in its cell
-    cubes = reuse_or_repartition(prev, moved, PartitionConfig(), _changed_points(moved, first))
+    cubes = reuse_or_repartition(prev, moved)
     assert (cubes.boundary_epoch, cubes.grid_edge) == (prev.boundary_epoch, prev.grid_edge)
-    _assert_same_cube_set(cubes, reuse_or_repartition(prev, moved), moved)
+    _assert_same_cube_set(cubes, _full_regroup(prev, moved), moved)
     for jump, epoch in ((1e12, prev.boundary_epoch), (1e16, prev.boundary_epoch + 1)):
         jumped = _far_apart_frame(2)
         jumped.positions[7, 0] += jump  # 1e12: 2,000 cells on; 1e16: 2e7, beyond 2**20
         assert membership_change_fraction(cubes, jumped) == (1 / 65 if epoch == prev.boundary_epoch else 1.0)
         for threshold in (0.2, 1.0):  # one point in 65 is below either
             cfg = PartitionConfig(change_threshold=threshold)
-            again = reuse_or_repartition(cubes, jumped, cfg, _changed_points(jumped, moved))
+            again = reuse_or_repartition(cubes, jumped, cfg)
             assert again.boundary_epoch == epoch
             if epoch == prev.boundary_epoch:
-                _assert_same_cube_set(again, reuse_or_repartition(cubes, jumped, cfg), jumped)
+                _assert_same_cube_set(again, _full_regroup(cubes, jumped, cfg), jumped)
             else:
                 _assert_same_cube_set(again, partition_frame(jumped, boundary_epoch=epoch), jumped)
 
@@ -329,8 +348,9 @@ KINDS = ["within-cell", "across-cells", "recolor", "relabel", "none", "signed-ze
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_seeded_edits_match_the_per_column_reference(kind):
-    """The changed indices equal the per-column reference, and reuse with
-    them equals reuse with every point marked, under both thresholds."""
+    """The changed indices equal the per-column reference, and reuse, which
+    finds them itself, equals the full regroup under both thresholds,
+    counts them and rebuilds the cells they touched."""
     base = SCENES["static"]()[0]
     if kind == "signed-zero":
         base = replace(base, positions=base.positions.copy())
@@ -348,8 +368,9 @@ def test_seeded_edits_match_the_per_column_reference(kind):
             assert (len(changed) == 0) == (kind in ("none", "signed-zero"))
         for threshold in (0.2, 1.0):
             cfg = PartitionConfig(change_threshold=threshold)
-            got = reuse_or_repartition(prev, frame, cfg, changed)
-            _assert_same_cube_set(got, reuse_or_repartition(prev, frame, cfg), frame)
+            got = reuse_or_repartition(prev, frame, cfg)
+            _assert_same_cube_set(got, _full_regroup(prev, frame, cfg), frame)
+            assert got.changed_points == (frame.num_points if want is None else len(want))
             if changed is not None and got.boundary_epoch == prev.boundary_epoch:
                 ids = {c.id for c in got.cubes}
                 assert got.rebuilt_since(prev) == _touched(got, prev, changed) & ids
@@ -364,8 +385,8 @@ def test_static_pair_reuses_everything_and_serializes_once():
     assert changed is not None and len(changed) == 0
     prev = partition_frame(first)
     held = [serialize_cube(first, cube) for cube in prev.cubes]
-    cubes = reuse_or_repartition(prev, second, PartitionConfig(), changed)
-    assert cubes.frame_id == second.frame_id
+    cubes = reuse_or_repartition(prev, second)
+    assert cubes.frame is second and cubes.changed_points == 0
     assert cubes.cubes is prev.cubes
     assert cubes.point_keys is prev.point_keys
     assert cubes.columns is prev.columns
@@ -379,8 +400,7 @@ def test_epoch_moves_exactly_when_the_change_fraction_exceeds_the_threshold():
     """Seeded property: whatever share of the points moves (none to all,
     by up to two cell edges, so every cell still packs), reuse_or_repartition
     re-partitions, moving the boundary epoch by one, exactly when
-    membership_change_fraction exceeds change_threshold, whether it is
-    given the changed points or marks every point."""
+    membership_change_fraction exceeds change_threshold."""
     base = SCENES["static"]()[0]
     prev = partition_frame(base)
     n, edge = base.num_points, prev.grid_edge
@@ -393,8 +413,6 @@ def test_epoch_moves_exactly_when_the_change_fraction_exceeds_the_threshold():
         frame = replace(base, frame_id=1, positions=positions)
         fraction = membership_change_fraction(prev, frame)
         for threshold in (0.0, 0.2, 1.0):
-            cfg = PartitionConfig(change_threshold=threshold)
-            for changed in (None, _changed_points(frame, base)):
-                got = reuse_or_repartition(prev, frame, cfg, changed)
-                moved = fraction > threshold
-                assert got.boundary_epoch == prev.boundary_epoch + moved, (share, threshold, fraction)
+            got = reuse_or_repartition(prev, frame, PartitionConfig(change_threshold=threshold))
+            moved = fraction > threshold
+            assert got.boundary_epoch == prev.boundary_epoch + moved, (share, threshold, fraction)
